@@ -252,7 +252,7 @@ cachedProfile(const apps::AppSpec &app, const std::string &tag,
     std::lock_guard<std::mutex> lock(cachePathMutex(path));
     bool ok = false;
     core::AppProfile profile = core::loadAppProfile(path, ok);
-    if (ok && profile.services.size() == app.services.size())
+    if (ok && core::profileMatches(profile, app))
         return profile;
     core::ExplorationController explorer(explore);
     profile = explorer.exploreApp(app);

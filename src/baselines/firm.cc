@@ -14,6 +14,19 @@
 namespace ursa::baselines
 {
 
+namespace
+{
+
+double
+microsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double, std::micro>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+} // namespace
+
 FirmController::FirmController(sim::Cluster &cluster,
                                const spec::AppSpec &app, FirmConfig cfg)
     : cluster_(&cluster), app_(app), cfg_(cfg), rng_(cfg.seed ^ 0xf1b3)
@@ -31,8 +44,24 @@ FirmController::attach(sim::Cluster &cluster)
     cluster_ = &cluster;
 }
 
+FirmController::ClassLatencies
+FirmController::classLatencies() const
+{
+    const sim::SimTime now = cluster_->events().now();
+    const sim::SimTime from =
+        std::max<sim::SimTime>(0, now - 2 * cfg_.interval);
+    ClassLatencies latency(cluster_->numClasses());
+    for (int c = 0; c < cluster_->numClasses(); ++c) {
+        const auto e2e = cluster_->metrics().endToEnd(c).collect(from, now);
+        if (!e2e.empty())
+            latency[c] = e2e.percentile(app_.classes[c].sla.percentile);
+    }
+    return latency;
+}
+
 std::vector<double>
-FirmController::serviceState(sim::ServiceId s) const
+FirmController::serviceState(sim::ServiceId s,
+                             const ClassLatencies &latency) const
 {
     const sim::SimTime now = cluster_->events().now();
     const sim::SimTime from =
@@ -45,13 +74,11 @@ FirmController::serviceState(sim::ServiceId s) const
     double load = 0.0;
     for (int c = 0; c < cluster_->numClasses(); ++c) {
         load += m.arrivalRate(s, c, from, now);
-        const auto e2e = m.endToEnd(c).collect(from, now);
-        if (e2e.empty())
+        if (!latency[c])
             continue;
-        const auto &sla = app_.classes[c].sla;
         pressure = std::max(
-            pressure, e2e.percentile(sla.percentile) /
-                          static_cast<double>(sla.targetUs));
+            pressure,
+            *latency[c] / static_cast<double>(app_.classes[c].sla.targetUs));
     }
     const double replicas =
         static_cast<double>(cluster_->service(s).activeReplicas()) /
@@ -111,26 +138,25 @@ FirmController::trainOnline(int steps)
             cluster_->service(throttled).setCpuFactor(cfg_.anomalyFactor);
         }
 
+        const ClassLatencies before = classLatencies();
         for (std::size_t s = 0; s < agents_.size(); ++s) {
             prevState[s] =
-                serviceState(static_cast<sim::ServiceId>(s));
+                serviceState(static_cast<sim::ServiceId>(s), before);
             prevAction[s] = agents_[s]->act(prevState[s], true);
             applyAction(static_cast<sim::ServiceId>(s), prevAction[s]);
         }
 
         cluster_->run(cluster_->events().now() + cfg_.interval);
         const double r = reward();
+        const ClassLatencies after = classLatencies();
 
         for (std::size_t s = 0; s < agents_.size(); ++s) {
             const auto next =
-                serviceState(static_cast<sim::ServiceId>(s));
+                serviceState(static_cast<sim::ServiceId>(s), after);
             agents_[s]->observe({prevState[s], prevAction[s], r, next});
             const auto wallStart = std::chrono::steady_clock::now();
             agents_[s]->trainStep();
-            trainLatency_.add(
-                std::chrono::duration<double, std::micro>(
-                    std::chrono::steady_clock::now() - wallStart)
-                    .count());
+            trainLatency_.add(microsSince(wallStart));
         }
         ++trainingSteps_;
 
@@ -155,19 +181,20 @@ FirmController::deployTick()
     // original uses an SVM over per-tier telemetry) and lets their
     // agents mitigate. Our stand-in: for every class currently
     // violating its SLA, the services on its path must not scale down,
-    // and the most utilized among them is forced to scale up.
+    // and the most utilized among them is forced to scale up. This
+    // shared part of the round — the class-latency snapshot and the
+    // localization over it — is timed once and charged in equal shares
+    // to the agents' decision latencies.
+    const auto roundStart = std::chrono::steady_clock::now();
     const sim::SimTime now = cluster_->events().now();
     const sim::SimTime from =
         std::max<sim::SimTime>(0, now - 2 * cfg_.interval);
+    const ClassLatencies latency = classLatencies();
     std::vector<bool> onViolatingPath(agents_.size(), false);
     std::vector<bool> forceUp(agents_.size(), false);
     for (int c = 0; c < cluster_->numClasses(); ++c) {
-        const auto e2e = cluster_->metrics().endToEnd(c).collect(from, now);
-        if (e2e.empty())
-            continue;
-        const auto &sla = app_.classes[c].sla;
-        if (e2e.percentile(sla.percentile) <=
-            static_cast<double>(sla.targetUs))
+        if (!latency[c] ||
+            *latency[c] <= static_cast<double>(app_.classes[c].sla.targetUs))
             continue;
         double worstUtil = -1.0;
         std::size_t culprit = 0;
@@ -184,12 +211,15 @@ FirmController::deployTick()
         }
         forceUp[culprit] = true;
     }
+    const double sharedUs =
+        microsSince(roundStart) / static_cast<double>(agents_.size());
     const int upIdx = static_cast<int>(
         std::max_element(cfg_.actions.begin(), cfg_.actions.end()) -
         cfg_.actions.begin());
     for (std::size_t s = 0; s < agents_.size(); ++s) {
         const auto wallStart = std::chrono::steady_clock::now();
-        const auto state = serviceState(static_cast<sim::ServiceId>(s));
+        const auto state =
+            serviceState(static_cast<sim::ServiceId>(s), latency);
         int action = agents_[s]->act(state, /*explore=*/false);
         if (forceUp[s]) {
             action = upIdx;
@@ -199,10 +229,7 @@ FirmController::deployTick()
                 if (cfg_.actions[a] == 0)
                     action = static_cast<int>(a);
         }
-        decisionLatency_.add(std::chrono::duration<double, std::micro>(
-                                 std::chrono::steady_clock::now() -
-                                 wallStart)
-                                 .count());
+        decisionLatency_.add(sharedUs + microsSince(wallStart));
         applyAction(static_cast<sim::ServiceId>(s), action);
     }
     cluster_->events().scheduleIn(cfg_.interval, [this] { deployTick(); });

@@ -24,6 +24,7 @@
 #include "stats/rng.h"
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 namespace ursa::baselines
@@ -97,7 +98,16 @@ class FirmController
     int trainingSteps() const { return trainingSteps_; }
 
   private:
-    std::vector<double> serviceState(sim::ServiceId s) const;
+    /**
+     * Per class, the end-to-end latency at the class's SLA percentile
+     * over the last two intervals; nullopt when the class completed
+     * nothing in that window. Taken once per control instant and
+     * shared by localization and every agent's state.
+     */
+    using ClassLatencies = std::vector<std::optional<double>>;
+    ClassLatencies classLatencies() const;
+    std::vector<double> serviceState(sim::ServiceId s,
+                                     const ClassLatencies &latency) const;
     double reward() const;
     int applyAction(sim::ServiceId s, int actionIdx);
     void deployTick();

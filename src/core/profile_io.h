@@ -10,6 +10,7 @@
 #define URSA_CORE_PROFILE_IO_H
 
 #include "core/profile.h"
+#include "spec/app_spec.h"
 
 #include <iosfwd>
 #include <string>
@@ -24,8 +25,11 @@ void saveAppProfile(const AppProfile &profile, std::ostream &out);
 bool saveAppProfile(const AppProfile &profile, const std::string &path);
 
 /**
- * Parse a profile written by saveAppProfile.
- * @throws std::runtime_error on malformed input.
+ * Parse a profile written by saveAppProfile. Input is untrusted: every
+ * count is bounded before anything is sized from it, every number must
+ * be finite, replicas nonnegative, and each latency row either all -1
+ * (no data) or nonnegative.
+ * @throws std::runtime_error at the first malformed or failed read.
  */
 AppProfile loadAppProfile(std::istream &in);
 
@@ -34,6 +38,12 @@ AppProfile loadAppProfile(std::istream &in);
  * @param ok Set to whether the file existed and parsed.
  */
 AppProfile loadAppProfile(const std::string &path, bool &ok);
+
+/**
+ * Whether `profile` describes `app`: the same service names in the
+ * same order, and every explored level sized for the app's classes.
+ */
+bool profileMatches(const AppProfile &profile, const spec::AppSpec &app);
 
 } // namespace ursa::core
 

@@ -421,6 +421,7 @@ Replica::cpuReschedule()
     const SimTime when = std::max<SimTime>(
         static_cast<SimTime>(std::ceil(delay)), minRemaining > kWorkEps ? 1 : 0);
     const std::uint64_t gen = cpuGen_;
+    ++queuedCpuEvents_;
     svc_.cluster().events().scheduleIn(when,
                                        [this, gen] { onCpuEvent(gen); });
 }
@@ -428,6 +429,7 @@ Replica::cpuReschedule()
 void
 Replica::onCpuEvent(std::uint64_t gen)
 {
+    --queuedCpuEvents_;
     if (gen != cpuGen_)
         return; // superseded by a newer schedule
     cpuSync();

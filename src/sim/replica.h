@@ -94,6 +94,13 @@ class Replica
     /** Whether startDrain was called. */
     bool draining() const { return draining_; }
 
+    /**
+     * Whether a CPU event this replica scheduled is still queued,
+     * superseded ones included. Each reads the replica when it fires,
+     * so the replica must outlive it.
+     */
+    bool cpuEventQueued() const { return queuedCpuEvents_ > 0; }
+
 #if URSA_CHECK_LEVEL >= 1
     /**
      * Violation injection for the check layer's own tests: release a
@@ -150,6 +157,7 @@ class Replica
     SimTime lastSync_ = 0;
     double busyIntegral_ = 0.0;
     std::uint64_t cpuGen_ = 0;
+    std::uint32_t queuedCpuEvents_ = 0;
 };
 
 } // namespace ursa::sim

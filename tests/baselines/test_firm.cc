@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace
 {
 
@@ -65,6 +67,40 @@ TEST(Firm, DeployTickActsOnEveryService)
               static_cast<std::size_t>(3 * 5 * 60 / 15));
     for (ServiceId s = 0; s < f.cluster.numServices(); ++s)
         EXPECT_GE(f.cluster.service(s).activeReplicas(), 1);
+}
+
+TEST(Firm, DecisionsMatchParentTrajectory)
+{
+    // Pins training and deployment to the values the controller
+    // produced before its class-latency snapshot existed. Every
+    // constant is exact: a snapshot that reorders a query or perturbs
+    // a state changes a replica count, an event or a percentile. The
+    // agents learn only once their 32-transition batch fills; 200
+    // training steps give them enough updates that a stale or missing
+    // class latency, in training or in deployment, moves the pins.
+    Fixture f;
+    FirmController firm(f.cluster, f.app, fastConfig());
+    firm.trainOnline(200);
+    const SimTime start = f.cluster.events().now();
+    const SimTime end = start + 5 * kMin;
+    firm.start(start);
+    f.cluster.run(end);
+
+    EXPECT_EQ(f.cluster.events().processed(), 1634556u);
+    EXPECT_EQ(f.cluster.submitted(), 330008u);
+    const std::vector<int> replicas = {1, 32, 1};
+    ASSERT_EQ(f.cluster.numServices(), 3);
+    for (ServiceId s = 0; s < f.cluster.numServices(); ++s)
+        EXPECT_EQ(f.cluster.service(s).activeReplicas(), replicas[s]);
+    // Rounds at start, start + 15 s, ..., end inclusive.
+    const std::size_t rounds = 5 * 60 / 15 + 1;
+    EXPECT_EQ(firm.decisionLatencyUs().count(), 3 * rounds);
+    const auto &m = f.cluster.metrics();
+    EXPECT_EQ(m.overallSlaViolationRate(start, end), 0.0);
+    EXPECT_EQ(m.endToEnd(0).collect(start, end).percentile(99.0),
+              0x1.759bc28f5c28cp+13);
+    EXPECT_EQ(m.endToEnd(1).collect(start, end).percentile(99.0),
+              0x1.e4af8f5c28f54p+16);
 }
 
 TEST(Firm, AnomalyInjectionIsReverted)

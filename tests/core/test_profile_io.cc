@@ -2,14 +2,19 @@
 
 #include "core/profile_io.h"
 
+#include "apps/app.h"
+
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
+#include <string>
 
 namespace
 {
 
 using namespace ursa::core;
+namespace apps = ursa::apps;
 
 AppProfile
 sampleProfile()
@@ -97,6 +102,124 @@ TEST(ProfileIo, FileHelpers)
     EXPECT_EQ(back.services.size(), 2u);
     loadAppProfile("/nonexistent/nope.txt", ok);
     EXPECT_FALSE(ok);
+}
+
+std::string
+sampleText()
+{
+    std::stringstream ss;
+    saveAppProfile(sampleProfile(), ss);
+    return ss.str();
+}
+
+/** `text` with the first occurrence of `from` replaced by `to`. */
+std::string
+replaced(std::string text, const std::string &from, const std::string &to)
+{
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+}
+
+void
+expectRejected(const std::string &text, const std::string &why)
+{
+    std::stringstream in(text);
+    EXPECT_THROW(loadAppProfile(in), std::runtime_error) << why;
+}
+
+TEST(ProfileIo, RejectsHugeOrNegativeCountsBeforeAllocating)
+{
+    // A count past the loader's bounds must fail as a parse error, not
+    // as std::bad_alloc or std::length_error from sizing a vector.
+    const std::string text = sampleText();
+    const std::string svc = "alpha 2 0.55000000000000004 40 123456789 ";
+    for (const std::string n :
+         {"-1", "1000000", "18446744073709551615", "99999999999999999999"}) {
+        expectRejected(replaced(text, "grid 3", "grid " + n), "grid " + n);
+        expectRejected(replaced(text, "services 2", "services " + n),
+                       "services " + n);
+        expectRejected(replaced(text, svc + "2 2", svc + n + " 2"),
+                       "levels " + n);
+        expectRejected(replaced(text, svc + "2 2", svc + "2 " + n),
+                       "classes " + n);
+    }
+}
+
+TEST(ProfileIo, RejectsNonFiniteNumbersAndNegativeReplicas)
+{
+    const std::string text = sampleText();
+    for (const std::string bad : {"nan", "inf", "-inf", "1e999"}) {
+        expectRejected(replaced(text, "grid 3 90", "grid 3 " + bad), bad);
+        expectRejected(replaced(text, "alpha 2", "alpha " + bad), bad);
+        expectRejected(replaced(text, "level 4 0.31", "level 4 " + bad), bad);
+        expectRejected(replaced(text, "lat 100", "lat " + bad), bad);
+    }
+    expectRejected(replaced(text, "level 4", "level -4"), "replicas");
+    expectRejected(replaced(text, "lat 100 220", "lat 100 -220"),
+                   "negative latency");
+    expectRejected(replaced(text, "lat -1 -1 -1", "lat -1 -1 5"),
+                   "partial no-data row");
+    expectRejected(replaced(text, "grid 3 90 99", "grid 3 99 90"),
+                   "descending grid");
+}
+
+TEST(ProfileIo, MatchesRequiresServiceNamesInOrderAndClassCount)
+{
+    apps::AppSpec app;
+    app.services.resize(2);
+    app.services[0].name = "alpha";
+    app.services[1].name = "beta";
+    app.classes.resize(2);
+    const AppProfile prof = sampleProfile();
+    EXPECT_TRUE(profileMatches(prof, app));
+
+    auto swapped = app;
+    std::swap(swapped.services[0], swapped.services[1]);
+    EXPECT_FALSE(profileMatches(prof, swapped));
+    auto renamed = app;
+    renamed.services[1].name = "gamma";
+    EXPECT_FALSE(profileMatches(prof, renamed));
+    auto fewer = app;
+    fewer.services.pop_back();
+    EXPECT_FALSE(profileMatches(prof, fewer));
+    auto moreClasses = app;
+    moreClasses.classes.resize(3);
+    EXPECT_FALSE(profileMatches(prof, moreClasses));
+}
+
+TEST(ProfileIo, CheckedInProfilesLoadAndMatchTheirApps)
+{
+    namespace fs = std::filesystem;
+    const fs::path root = URSA_SOURCE_DIR;
+    const auto check = [](const fs::path &path, const apps::AppSpec &app) {
+        bool ok = false;
+        const AppProfile prof = loadAppProfile(path.string(), ok);
+        EXPECT_TRUE(ok) << path;
+        EXPECT_TRUE(profileMatches(prof, app)) << path;
+    };
+    check(root / "perfbench/profiles/social-network.txt",
+          apps::makeSocialNetwork());
+    // The bench cache is keyed by tag: profile_<tag>.txt.
+    const fs::path cache = root / ".ursa_cache";
+    if (!fs::is_directory(cache))
+        return;
+    for (const auto &entry : fs::directory_iterator(cache)) {
+        const std::string name = entry.path().filename().string();
+        if (name.rfind("profile_", 0) != 0)
+            continue;
+        const std::string tag = name.substr(8, name.size() - 12);
+        if (tag == "social")
+            check(entry.path(), apps::makeSocialNetwork());
+        else if (tag == "vanilla-social")
+            check(entry.path(), apps::makeSocialNetwork(true));
+        else if (tag == "media")
+            check(entry.path(), apps::makeMediaService());
+        else if (tag.rfind("video", 0) == 0)
+            check(entry.path(), apps::makeVideoPipeline());
+        else
+            ADD_FAILURE() << "no app for cached profile " << name;
+    }
 }
 
 } // namespace

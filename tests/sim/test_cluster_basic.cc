@@ -186,6 +186,29 @@ TEST(ClusterBasic, ScalingDownDrains)
     EXPECT_DOUBLE_EQ(f.cluster.service(f.sid).cpuAllocation(), 1.0);
 }
 
+TEST(ClusterBasic, ReapedReplicaOutlivesItsSupersededCpuEvent)
+{
+    // A throttled job schedules its completion far out; unthrottling
+    // reschedules it sooner and leaves the far event queued. Its
+    // replica then drains and is reaped before that stale event fires,
+    // and the event still reads the replica (the sanitizer legs catch
+    // a use after free here).
+    SingleServiceFixture f(10.0, 4, 1.0, 2);
+    f.cluster.service(f.sid).setCpuFactor(0.1);
+    int done = 0;
+    for (int i = 0; i < 2; ++i) { // one job per replica
+        RequestPtr r = f.cluster.submit(f.cls);
+        r->onSyncDone = [&](Request &) { ++done; };
+    }
+    f.cluster.run(kMsec); // both jobs due ~100 ms in
+    f.cluster.service(f.sid).setCpuFactor(1.0); // now due ~10 ms in
+    f.cluster.service(f.sid).setReplicas(1);
+    f.cluster.run(kSec); // reaped at ~10 ms, stale events at ~100 ms
+    EXPECT_EQ(done, 2);
+    EXPECT_EQ(f.cluster.service(f.sid).activeReplicas(), 1);
+    EXPECT_DOUBLE_EQ(f.cluster.service(f.sid).cpuAllocation(), 1.0);
+}
+
 TEST(ClusterBasic, ScaleToZeroRejected)
 {
     SingleServiceFixture f;
