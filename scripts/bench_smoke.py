@@ -2,15 +2,14 @@
 """CI smoke for the DES kernel bench + the ursa::trace overhead contract.
 
 BENCH_kernel.json is a *trajectory*: one entry per PR that moved the
-kernel, each recording the headline sharded configuration and a
-'single' block for the canonical single-simulation run. This smoke pins
-the working tree against the LATEST trajectory entry:
+kernel, each recording a 'single' block for the canonical
+single-simulation run. This smoke pins the working tree against the
+LATEST trajectory entry:
 
   1. determinism  — a tracer-disabled run reproduces the exact single-
                     simulation event and request counts of the latest
-                    entry (same app, seed, and simulated span), and the
-                    sharded aggregate counts when the entry is sharded.
-                    Counts are machine-independent, so this check is
+                    entry (same app, seed, and simulated span). Counts
+                    are machine-independent, so this check is
                     bit-exact.
   2. zero perturbation — a sampling=1.0 run executes the *same* events
                     as the disabled run (tracing observes, never
@@ -41,11 +40,10 @@ import sys
 import tempfile
 
 
-def run_bench(bench, sampling, sim_minutes, shards, out_path):
+def run_bench(bench, sampling, sim_minutes, out_path):
     env = dict(os.environ)
     env["URSA_BENCH_REPS"] = "1"
     env["URSA_BENCH_SIM_MIN"] = str(sim_minutes)
-    env["URSA_BENCH_SHARDS"] = str(shards)
     env["URSA_BENCH_OUT"] = out_path
     env["URSA_TRACE_SAMPLING"] = repr(sampling)
     subprocess.run([bench], env=env, check=True,
@@ -72,13 +70,12 @@ def main():
     latest = ref["trajectory"][-1]
     single_ref = latest["single"]
     sim_minutes = ref["sim_minutes"]
-    shards = latest.get("shards", 1)
 
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
-        off = run_bench(args.bench, 0.0, sim_minutes, shards,
+        off = run_bench(args.bench, 0.0, sim_minutes,
                         os.path.join(tmp, "off.json"))
-        on = run_bench(args.bench, 1.0, sim_minutes, shards,
+        on = run_bench(args.bench, 1.0, sim_minutes,
                        os.path.join(tmp, "on.json"))
 
     # 1. Bit-determinism against the latest recorded entry.
@@ -88,11 +85,6 @@ def main():
                 f"tracer-disabled run diverged from the latest entry of "
                 f"{args.reference} ({latest['label']!r}): single {key} "
                 f"{off[key]} != {single_ref[key]}")
-        if shards > 1 and off["sharded"][key] != latest[key]:
-            failures.append(
-                f"sharded run diverged from the latest entry of "
-                f"{args.reference}: {key} {off['sharded'][key]} != "
-                f"{latest[key]}")
 
     # 2. Tracing must not change what the simulation does.
     for key in ("events", "requests"):
@@ -129,7 +121,7 @@ def main():
         return 1
     print(f"bench_smoke OK: counts match the latest trajectory entry of "
           f"{args.reference} (events={off['events']}, "
-          f"requests={off['requests']}, shards={shards}), tracing is "
+          f"requests={off['requests']}), tracing is "
           "zero-perturbation and within the overhead bound")
     return 0
 

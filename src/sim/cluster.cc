@@ -1,7 +1,6 @@
 #include "sim/cluster.h"
 
 #include "check/check.h"
-#include "sim/cross_shard.h"
 #include "sim/event_queue.h"
 #include "sim/invocation.h"
 #include "sim/pool.h"
@@ -172,9 +171,6 @@ Cluster::submit(ClassId c)
     if (!finalized_)
         throw std::logic_error("submit before finalize");
     const RequestClassSpec &spec = classes_.at(c);
-    URSA_CHECK(ownsService(rootService_[c]), "sim.cluster",
-               "submit on a shard that does not own the class's root "
-               "service");
     ++submitted_;
     RequestPtr req = makeRef<Request>(*pool_);
     req->id = nextRequestId_++;
@@ -233,27 +229,6 @@ Cluster::invoke(ServiceId target, const RequestPtr &req,
                 EventQueue::Callback onSyncDone, trace::SpanId parentSpan,
                 trace::HopKind hop, SimTime netDelayUs)
 {
-    if (hub_ != nullptr && !ownsService(target)) {
-        // Cross-shard call: pin {req, continuation} locally, ship a
-        // POD message. The remote shard answers with SyncDone (resume
-        // the continuation) and BranchDone (remote async descendants
-        // all drained — release the async pin taken here).
-        URSA_CHECK(netDelayUs > 0, "sim.shard",
-                   "zero-latency call crosses a shard boundary "
-                   "(plan and mesh cut disagree)");
-        req->outstandingAsync += 1;
-        CrossShardMsg msg;
-        msg.kind = CrossShardMsg::Kind::Call;
-        msg.deliverAtUs = events_.now() + netDelayUs;
-        msg.netDelayUs = netDelayUs;
-        msg.target = target;
-        msg.classId = req->classId;
-        msg.priority = req->priority;
-        msg.srcShard = shardIndex_;
-        msg.callId = allocRemoteSlot(req, std::move(onSyncDone), 2);
-        hub_->crossSend(shardIndex_, serviceShard_[target], msg);
-        return;
-    }
     if (netDelayUs > 0) {
         // Latency-bearing local edge: deliver after the channel delay
         // (arrival stamped at delivery), and delay the response resume
@@ -292,24 +267,6 @@ void
 Cluster::publishTo(ServiceId target, const RequestPtr &req,
                    trace::SpanId parentSpan, SimTime netDelayUs)
 {
-    if (hub_ != nullptr && !ownsService(target)) {
-        // The caller already took the async pin for this publish; the
-        // remote proxy's BranchDone releases it.
-        URSA_CHECK(netDelayUs > 0, "sim.shard",
-                   "zero-latency publish crosses a shard boundary "
-                   "(plan and mesh cut disagree)");
-        CrossShardMsg msg;
-        msg.kind = CrossShardMsg::Kind::Publish;
-        msg.deliverAtUs = events_.now() + netDelayUs;
-        msg.netDelayUs = netDelayUs;
-        msg.target = target;
-        msg.classId = req->classId;
-        msg.priority = req->priority;
-        msg.srcShard = shardIndex_;
-        msg.callId = allocRemoteSlot(req, EventQueue::Callback(), 1);
-        hub_->crossSend(shardIndex_, serviceShard_[target], msg);
-        return;
-    }
     if (netDelayUs > 0) {
         RefPtr<NetHop> rec = makeRef<NetHop>(*pool_);
         rec->req = req;
@@ -336,139 +293,6 @@ Cluster::publishLocal(ServiceId target, const RequestPtr &req,
 }
 
 void
-Cluster::attachShard(CrossShardHub &hub, int shardIndex,
-                     std::vector<int> serviceShard)
-{
-    if (!finalized_)
-        throw std::logic_error("attachShard before finalize");
-    if (serviceShard.size() != services_.size())
-        throw std::invalid_argument(
-            "attachShard: serviceShard size != service count");
-    hub_ = &hub;
-    shardIndex_ = shardIndex;
-    serviceShard_ = std::move(serviceShard);
-}
-
-std::uint32_t
-Cluster::allocRemoteSlot(const RequestPtr &req, EventQueue::Callback cont,
-                         int pending)
-{
-    std::uint32_t id;
-    if (!remoteFreeSlots_.empty()) {
-        id = remoteFreeSlots_.back();
-        remoteFreeSlots_.pop_back();
-    } else {
-        id = static_cast<std::uint32_t>(remoteSlots_.size());
-        remoteSlots_.emplace_back();
-    }
-    RemoteSlot &slot = remoteSlots_[id];
-    slot.req = req;
-    slot.cont = std::move(cont);
-    slot.pending = pending;
-    return id;
-}
-
-void
-Cluster::remoteSlotEvent(std::uint32_t callId, bool syncDone)
-{
-    RemoteSlot &slot = remoteSlots_.at(callId);
-    URSA_CHECK(slot.pending > 0, "sim.shard",
-               "cross-shard completion for an already-released call");
-    if (syncDone) {
-        EventQueue::Callback cont = std::move(slot.cont);
-        if (--slot.pending == 0) {
-            slot.req.reset();
-            remoteFreeSlots_.push_back(callId);
-        }
-        cont();
-    } else {
-        RequestPtr req = slot.req;
-        if (--slot.pending == 0) {
-            slot.req.reset();
-            slot.cont = EventQueue::Callback();
-            remoteFreeSlots_.push_back(callId);
-        }
-        asyncBranchDone(req);
-    }
-}
-
-void
-Cluster::injectCrossShard(const CrossShardMsg &msg)
-{
-    URSA_CHECK(msg.deliverAtUs > events_.now(), "sim.shard",
-               "cross-shard message delivers into the shard's past "
-               "(co-advance window exceeds the channel lookahead)");
-    switch (msg.kind) {
-    case CrossShardMsg::Kind::Call:
-    case CrossShardMsg::Kind::Publish:
-        events_.schedule(msg.deliverAtUs,
-                         [this, msg] { remoteDeliver(msg); });
-        break;
-    case CrossShardMsg::Kind::SyncDone:
-        events_.schedule(msg.deliverAtUs, [this, id = msg.callId] {
-            remoteSlotEvent(id, /*syncDone=*/true);
-        });
-        break;
-    case CrossShardMsg::Kind::BranchDone:
-        events_.schedule(msg.deliverAtUs, [this, id = msg.callId] {
-            remoteSlotEvent(id, /*syncDone=*/false);
-        });
-        break;
-    }
-}
-
-void
-Cluster::remoteDeliver(const CrossShardMsg &msg)
-{
-    // Build the destination-side proxy request: locally it looks like
-    // a freshly submitted request of the same class, but it is
-    // accounted in the remote counters, never traced, and excluded
-    // from end-to-end recording — the source shard owns the
-    // user-visible request.
-    ++remoteSubmitted_;
-    RequestPtr proxy = makeRef<Request>(*pool_);
-    proxy->id = nextRequestId_++;
-    proxy->classId = msg.classId;
-    proxy->priority = msg.priority;
-    proxy->submitTime = events_.now();
-    proxy->remoteLeg = true;
-    proxy->onFullyDone = [this, src = msg.srcShard, callId = msg.callId,
-                          d = msg.netDelayUs](Request &) {
-        CrossShardMsg done;
-        done.kind = CrossShardMsg::Kind::BranchDone;
-        done.deliverAtUs = events_.now() + d;
-        done.srcShard = shardIndex_;
-        done.callId = callId;
-        hub_->crossSend(shardIndex_, src, done);
-    };
-    if (msg.kind == CrossShardMsg::Kind::Publish) {
-        // The remote publisher holds one async pin for this branch;
-        // mirror it here so the proxy stays open until the consumer
-        // (and any descendants it spawns) finish.
-        proxy->syncDone = true;
-        proxy->syncDoneTime = events_.now();
-        proxy->outstandingAsync = 1;
-        publishLocal(msg.target, proxy, trace::kNoSpan);
-        return;
-    }
-    deliver(
-        msg.target, proxy,
-        [this, proxy, src = msg.srcShard, callId = msg.callId,
-         d = msg.netDelayUs] {
-            proxy->syncDone = true;
-            proxy->syncDoneTime = events_.now();
-            CrossShardMsg done;
-            done.kind = CrossShardMsg::Kind::SyncDone;
-            done.deliverAtUs = events_.now() + d;
-            done.srcShard = shardIndex_;
-            done.callId = callId;
-            hub_->crossSend(shardIndex_, src, done);
-            maybeFinishRequest(proxy);
-        },
-        trace::kNoSpan, trace::HopKind::NestedRpc);
-}
-
-void
 Cluster::asyncBranchDone(const RequestPtr &req)
 {
     URSA_CHECK(req->outstandingAsync > 0, "sim.cluster",
@@ -483,18 +307,6 @@ Cluster::maybeFinishRequest(const RequestPtr &req)
     if (!req->fullyDone() || req->allDoneTime >= 0)
         return;
     req->allDoneTime = events_.now();
-    if (req->remoteLeg) {
-        // Destination-side proxy of a cross-shard call: accounted in
-        // the remote counters and invisible to end-to-end metrics; the
-        // onFullyDone hook ships BranchDone back to the source shard.
-        ++remoteCompleted_;
-        URSA_CHECK(remoteCompleted_ <= remoteSubmitted_, "sim.cluster",
-                   "remote-leg conservation violation: completed > "
-                   "injected");
-        if (req->onFullyDone)
-            req->onFullyDone(*req);
-        return;
-    }
     ++completed_;
     URSA_CHECK(completed_ <= submitted_, "sim.cluster",
                "request conservation violation: completed > injected");
@@ -555,12 +367,6 @@ Cluster::auditConservation(bool expectQuiescent) const
     URSA_CHECK(inFlight() == 0, "sim.cluster",
                "request conservation violation at drain: "
                "injected != completed");
-    URSA_CHECK(remoteSubmitted_ == remoteCompleted_, "sim.cluster",
-               "remote-leg conservation violation at drain: "
-               "injected != completed");
-    URSA_CHECK(remoteFreeSlots_.size() == remoteSlots_.size(),
-               "sim.cluster",
-               "cross-shard call slots still pinned at drain");
     for (const auto &svc : services_) {
         URSA_CHECK(svc->mqDepth() == 0, "sim.cluster",
                    "message queue non-empty at drain");

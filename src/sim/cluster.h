@@ -14,7 +14,6 @@
 #define URSA_SIM_CLUSTER_H
 
 #include "check/check.h"
-#include "sim/cross_shard.h"
 #include "sim/event_queue.h"
 #include "sim/invocation.h"
 #include "sim/metrics.h"
@@ -100,9 +99,7 @@ class Cluster
      * is delivered (and the invocation created, its arrival stamped)
      * `netDelayUs` later, and the response delays the continuation by
      * the same amount on the way back. 0 keeps the historical
-     * in-process zero-latency dispatch. When the target service is
-     * owned by another shard of a mesh run (attachShard), the call is
-     * emitted as a cross-shard message instead.
+     * in-process zero-latency dispatch.
      */
     void invoke(ServiceId target, const RequestPtr &req,
                 EventQueue::Callback onSyncDone,
@@ -121,38 +118,6 @@ class Cluster
 
     /** An async branch of `req` finished. */
     void asyncBranchDone(const RequestPtr &req);
-
-    // --- mesh sharding (used by ShardedSim) ----------------------------
-
-    /**
-     * Attach this cluster as shard `shardIndex` of a sharded mesh run.
-     * `serviceShard[s]` names the shard owning service `s`; dispatches
-     * to services owned elsewhere are emitted through `hub` as
-     * cross-shard messages (sim/cross_shard.h) instead of handled
-     * locally. Call after finalize(), before any submit().
-     */
-    void attachShard(CrossShardHub &hub, int shardIndex,
-                     std::vector<int> serviceShard);
-
-    /** Shard index of this cluster in a mesh run (0 otherwise). */
-    int shardIndex() const { return shardIndex_; }
-
-    /** True when `s` is handled by this cluster (always true unless
-     *  attached to a mesh). */
-    bool ownsService(ServiceId s) const
-    {
-        return serviceShard_.empty() ||
-               serviceShard_[static_cast<std::size_t>(s)] == shardIndex_;
-    }
-
-    /**
-     * Schedule one inbound cross-shard message. Called by the mesh
-     * coordinator between co-advance windows, in deterministic
-     * (deliverAt, source shard, emission order) order. Fires a
-     * "sim.shard" violation if the message would deliver into this
-     * shard's past — i.e. the co-advance window exceeded the lookahead.
-     */
-    void injectCrossShard(const CrossShardMsg &msg);
 
     // --- infrastructure ------------------------------------------------
 
@@ -184,14 +149,6 @@ class Cluster
 
     /** Requests injected but not yet fully completed. */
     std::uint64_t inFlight() const { return submitted_ - completed_; }
-
-    /**
-     * Remote-leg proxy requests served on behalf of other shards.
-     * Accounted separately from submitted()/completed() so per-shard
-     * user-request counts remain comparable to a single-cluster run.
-     */
-    std::uint64_t remoteSubmitted() const { return remoteSubmitted_; }
-    std::uint64_t remoteCompleted() const { return remoteCompleted_; }
 
     /**
      * Audit request conservation: injected == completed + in-flight,
@@ -226,13 +183,6 @@ class Cluster
     /// Zero-latency tail of publishTo().
     void publishLocal(ServiceId target, const RequestPtr &req,
                       trace::SpanId parentSpan);
-    /// Act on an inbound Call/Publish at its delivery time: build the
-    /// remote-leg proxy request and dispatch it locally.
-    void remoteDeliver(const CrossShardMsg &msg);
-    /// Pin {req, continuation} while a cross-shard call is in flight.
-    std::uint32_t allocRemoteSlot(const RequestPtr &req,
-                                  EventQueue::Callback cont, int pending);
-    void remoteSlotEvent(std::uint32_t callId, bool syncDone);
 
     /// Freelist arena recycling Request/Invocation nodes (hot path).
     /// Declared before the event queue (and every other member that
@@ -271,27 +221,6 @@ class Cluster
     std::uint64_t nextRequestId_ = 1;
     std::uint64_t submitted_ = 0;
     std::uint64_t completed_ = 0;
-
-    // Mesh sharding (attachShard): outbound hub, this cluster's shard
-    // index, and the owning shard of every service (empty when not
-    // attached — everything is local).
-    CrossShardHub *hub_ = nullptr;
-    int shardIndex_ = 0;
-    std::vector<int> serviceShard_;
-    /// In-flight outbound cross-shard calls: the source-side request
-    /// and continuation, pinned until the remote shard answers.
-    /// `pending` counts the completions still expected (SyncDone +
-    /// BranchDone for a Call, BranchDone only for a Publish).
-    struct RemoteSlot
-    {
-        RequestPtr req;
-        EventQueue::Callback cont;
-        int pending = 0;
-    };
-    std::vector<RemoteSlot> remoteSlots_;
-    std::vector<std::uint32_t> remoteFreeSlots_;
-    std::uint64_t remoteSubmitted_ = 0;
-    std::uint64_t remoteCompleted_ = 0;
 };
 
 } // namespace ursa::sim

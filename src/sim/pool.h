@@ -7,8 +7,8 @@
  * the `std::allocate_shared` scheme this replaced there is no control
  * block and no atomic refcount traffic: the count is a plain uint32
  * embedded in the object (`RefState`), legal because each Cluster's
- * event loop is single-threaded and pooled objects never cross shard
- * boundaries (cross-shard traffic is POD messages, see cross_shard.h).
+ * event loop is single-threaded and pooled objects never leave their
+ * Cluster.
  *
  * Ownership contract (checked at URSA_CHECK_LEVEL >= 1 in ~PoolArena):
  * RefPtr-managed objects must not outlive the Cluster whose arena they

@@ -40,8 +40,6 @@ enum class CallKind
  * Default one-way network delay of an inter-service call, in
  * microseconds: a realistic per-hop floor for kernel-bypass-free
  * datacenter RPC through a service mesh (sidecar proxy each side).
- * Besides fidelity, a nonzero floor is what gives the sharded kernel
- * per-edge lookahead — see computeShardPlan in sim/shard.h.
  */
 inline constexpr SimTime kDefaultNetDelayUs = 1000;
 
@@ -53,9 +51,7 @@ struct CallSpec
     /**
      * Minimum one-way network delay of this channel (us), applied by
      * Cluster dispatch to the request delivery and, for RPC, to the
-     * response. 0 is an explicit option meaning colocated/in-process
-     * (same-shard only: a zero-latency edge has no lookahead, so
-     * computeShardPlan merges its endpoints into one shard).
+     * response. 0 is an explicit option meaning colocated/in-process.
      */
     SimTime netDelayUs = kDefaultNetDelayUs;
 };
@@ -158,11 +154,6 @@ struct Request
     /// Selected by the tracer's deterministic hash-of-id gate at
     /// submit; every hop of a traced request emits a span.
     bool traced = false;
-    /// True for the destination-side proxy of a cross-shard call: the
-    /// request is accounted in the remote counters, never traced, and
-    /// excluded from end-to-end latency recording (the source shard
-    /// owns the user-visible request).
-    bool remoteLeg = false;
     /// Client root span id of a traced request (kNoSpan otherwise).
     trace::SpanId rootSpan = trace::kNoSpan;
 

@@ -1,16 +1,18 @@
 /**
  * @file
  * Integration tests for the core simulator: single-service latency,
- * queueing, utilization accounting, scaling with draining, and
- * determinism.
+ * queueing, utilization accounting, scaling with draining, per-edge
+ * network delay, and determinism.
  */
 
 #include "sim/client.h"
 #include "sim/cluster.h"
+#include "trace/span.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 namespace
 {
@@ -46,6 +48,61 @@ struct SingleServiceFixture
         spec.sla = {99.0, fromMs(100.0)};
         cls = cluster.addClass(spec);
         cluster.finalize();
+    }
+};
+
+/** Exact compute of the two tiers in EdgeFixture (computeCv = 0). */
+constexpr SimTime kFrontUs = 1000;
+constexpr SimTime kBackUs = 2000;
+
+/**
+ * Two services joined by one call edge: `front` computes kFrontUs and
+ * then makes the call, `back` computes kBackUs. Every request is
+ * traced so the test can read back's arrival stamp from its span.
+ */
+struct EdgeFixture
+{
+    Cluster cluster;
+    ClassId cls;
+    ServiceId back;
+
+    explicit EdgeFixture(const CallSpec &edge) : cluster(1234)
+    {
+        ServiceConfig front;
+        front.name = "front";
+        ClassBehavior fb;
+        fb.computeMeanUs = kFrontUs;
+        fb.computeCv = 0.0;
+        fb.calls.push_back(edge);
+        front.behaviors[0] = fb;
+        cluster.addService(front);
+
+        ServiceConfig be;
+        be.name = "back";
+        be.mqConsumer = edge.kind == CallKind::MqPublish;
+        ClassBehavior bb;
+        bb.computeMeanUs = kBackUs;
+        bb.computeCv = 0.0;
+        be.behaviors[0] = bb;
+        back = cluster.addService(be);
+
+        RequestClassSpec spec;
+        spec.name = "req";
+        spec.rootService = "front";
+        spec.sla = {99.0, fromMs(100.0)};
+        spec.asyncCompletion = edge.kind == CallKind::MqPublish;
+        cls = cluster.addClass(spec);
+        cluster.tracer().setSampling(1.0);
+        cluster.finalize();
+    }
+
+    /** Arrival stamp (span start) of the request's hop at `back`. */
+    SimTime backArrival() const
+    {
+        for (const ursa::trace::Span &s : cluster.tracer().snapshot())
+            if (s.serviceId == back)
+                return s.start;
+        return -1;
     }
 };
 
@@ -251,6 +308,44 @@ TEST(ClusterBasic, ThrottlingSlowsService)
     ASSERT_GT(normal, 0);
     ASSERT_GT(throttled, 0);
     EXPECT_NEAR(toMs(throttled), 4.0 * toMs(normal), 2.0);
+}
+
+TEST(ClusterBasic, RpcNetDelayIsPaidOnBothLegs)
+{
+    // The call leaves front at submit + kFrontUs and lands on back d
+    // later; back's response pays d again on the way back. An explicit
+    // 0 is in-process dispatch; an unannotated edge gets the default.
+    EXPECT_EQ(CallSpec{}.netDelayUs, kDefaultNetDelayUs);
+    EXPECT_GT(kDefaultNetDelayUs, 0);
+    const std::pair<CallSpec, SimTime> cases[] = {
+        {{"back", CallKind::NestedRpc, 2500}, 2500},
+        {{"back", CallKind::NestedRpc, 0}, 0},
+        {{"back", CallKind::NestedRpc}, kDefaultNetDelayUs},
+    };
+    for (const auto &[edge, d] : cases) {
+        SCOPED_TRACE(d);
+        EdgeFixture f(edge);
+        RequestPtr req = f.cluster.submit(f.cls);
+        f.cluster.run(kSec);
+        ASSERT_TRUE(req->syncDone);
+        EXPECT_EQ(req->syncDoneTime - req->submitTime,
+                  kFrontUs + kBackUs + 2 * d);
+        EXPECT_EQ(f.backArrival(), req->submitTime + kFrontUs + d);
+    }
+}
+
+TEST(ClusterBasic, NetDelayDefersMqPublishLanding)
+{
+    // Fire and forget: front answers as soon as it has published, and
+    // the message lands on back's queue d after the publish.
+    constexpr SimTime d = 2500;
+    EdgeFixture f({"back", CallKind::MqPublish, d});
+    RequestPtr req = f.cluster.submit(f.cls);
+    f.cluster.run(kSec);
+    ASSERT_TRUE(req->fullyDone());
+    EXPECT_EQ(req->syncDoneTime - req->submitTime, kFrontUs);
+    EXPECT_EQ(f.backArrival(), req->submitTime + kFrontUs + d);
+    EXPECT_EQ(req->allDoneTime - req->submitTime, kFrontUs + d + kBackUs);
 }
 
 TEST(ClusterBasic, UnknownCallTargetFailsFinalize)

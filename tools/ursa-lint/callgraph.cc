@@ -30,7 +30,7 @@ qualMatches(const std::string &qual, const std::string &spelled)
            qual.compare(qual.size() - spelled.size() - 2, 2, "::") == 0;
 }
 
-/** `sim/shard.cc` <-> `sim/shard.h`: the header/impl sibling, or "". */
+/** `sim/cluster.cc` <-> `sim/cluster.h`: the header/impl sibling, or "". */
 std::string
 siblingPath(const std::string &path)
 {

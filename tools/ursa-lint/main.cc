@@ -5,7 +5,7 @@
  * §9/§11 for the rule catalogue and suppression policy).
  *
  * Modes:
- *   ursa-lint --root <dir> [--baseline <file>] [--format text|sarif]
+ *   ursa-lint --root <dir> [--format text|sarif]
  *       lint a source tree: pass 1 lexes and indexes every file in
  *       parallel (ursa::exec::parallelMap, URSA_THREADS), pass 2 runs
  *       the cross-file rules (layer graph, lock order, include
@@ -16,8 +16,6 @@
  *   ursa-lint --root <dir> --fix | --fix-dry-run
  *       mechanically delete dead includes flagged by include-hygiene
  *       (--fix rewrites the files; --fix-dry-run prints the diff)
- *   ursa-lint --root <dir> --write-baseline <file>
- *       emit the current violations in baseline format
  *   ursa-lint --self-test --testdata <dir>
  *       run the bait/clean fixtures, including the multi-file fixture
  *       projects under <dir>/projects/
@@ -46,7 +44,6 @@
  * Exit status: 0 clean, 1 violations/self-test failure, 2 usage error.
  */
 
-#include "baseline.h"
 #include "model.h"
 #include "output.h"
 #include "project_rules.h"
@@ -59,7 +56,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -242,9 +238,8 @@ applyIncludeFixes(const fs::path &root,
 }
 
 int
-lintTree(const std::string &rootArg, const std::string &baselineArg,
-         const std::string &writeBaselineArg, const std::string &format,
-         bool fix, bool fixDryRun)
+lintTree(const std::string &rootArg, const std::string &format, bool fix,
+         bool fixDryRun)
 {
     const fs::path root(rootArg);
     if (!fs::is_directory(root)) {
@@ -276,73 +271,9 @@ lintTree(const std::string &rootArg, const std::string &baselineArg,
     all.insert(all.end(), cross.begin(), cross.end());
     ursa::lint::sortViolations(all);
 
-    if (!writeBaselineArg.empty()) {
-        std::ofstream out(writeBaselineArg);
-        if (!out) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         writeBaselineArg.c_str());
-            return 2;
-        }
-        std::vector<Violation> joined = all;
-        for (Violation &v : joined)
-            v.path = ursa::lint::displayPath(rootArg, v.path);
-        out << ursa::lint::formatBaseline(joined);
-        std::fprintf(stderr,
-                     "ursa-lint: wrote %zu baseline entr%s to %s\n",
-                     all.size(), all.size() == 1 ? "y" : "ies",
-                     writeBaselineArg.c_str());
-        return 0;
-    }
-
-    std::vector<Violation> kept = all;
-    if (!baselineArg.empty()) {
-        std::vector<ursa::lint::BaselineEntry> entries, stale;
-        std::vector<Violation> baselined;
-        std::string error;
-        if (!ursa::lint::loadBaseline(baselineArg, entries, error)) {
-            std::fprintf(stderr, "error: %s\n", error.c_str());
-            return 2;
-        }
-        // Baseline entries are spelled as they appeared in some
-        // report (root-joined — "src/sim/a.cc", or absolute when CI
-        // lints with an absolute --root); violations carry
-        // root-relative paths internally. Resolve each entry to the
-        // unique scanned file it names, whatever root spelling either
-        // side used: exact relative match first, then the longest
-        // scanned path the entry ends with as a "/"-separated suffix.
-        const std::set<std::string> known(files.begin(), files.end());
-        for (auto &e : entries) {
-            if (known.count(e.path))
-                continue;
-            std::string best;
-            for (const std::string &r : files)
-                if (e.path.size() > r.size() &&
-                    e.path.compare(e.path.size() - r.size(), r.size(), r) ==
-                        0 &&
-                    e.path[e.path.size() - r.size() - 1] == '/' &&
-                    r.size() > best.size())
-                    best = r;
-            if (!best.empty())
-                e.path = best;
-        }
-        kept.clear();
-        ursa::lint::applyBaseline(entries, all, kept, baselined, stale);
-        for (const auto &e : stale)
-            std::fprintf(stderr,
-                         "ursa-lint: stale baseline entry %s:%d:%s no "
-                         "longer fires — delete it\n",
-                         ursa::lint::displayPath(rootArg, e.path).c_str(),
-                         e.line, e.rule.c_str());
-        if (!baselined.empty())
-            std::fprintf(stderr,
-                         "ursa-lint: %zu baselined violation(s) "
-                         "suppressed via %s\n",
-                         baselined.size(), baselineArg.c_str());
-    }
-
     if (fix || fixDryRun) {
         const std::map<std::string, std::vector<int>> byFile =
-            fixableDeadIncludes(kept);
+            fixableDeadIncludes(all);
         const std::size_t removed =
             applyIncludeFixes(root, byFile, /*dryRun=*/fixDryRun);
         if (fixDryRun) {
@@ -356,8 +287,8 @@ lintTree(const std::string &rootArg, const std::string &baselineArg,
                          "file(s)\n",
                          removed, byFile.size());
             // The fixed findings are gone from disk; report the rest.
-            kept.erase(std::remove_if(
-                           kept.begin(), kept.end(),
+            all.erase(std::remove_if(
+                           all.begin(), all.end(),
                            [&](const Violation &v) {
                                const auto it = byFile.find(v.path);
                                return it != byFile.end() &&
@@ -369,21 +300,21 @@ lintTree(const std::string &rootArg, const std::string &baselineArg,
                                                 v.line) !=
                                           it->second.end();
                            }),
-                       kept.end());
+                       all.end());
         }
     }
 
     if (format == "sarif") {
-        std::fputs(ursa::lint::formatSarif(kept, rootArg).c_str(), stdout);
+        std::fputs(ursa::lint::formatSarif(all, rootArg).c_str(), stdout);
     } else {
-        std::fputs(ursa::lint::formatText(kept, rootArg).c_str(), stdout);
-        if (kept.empty())
+        std::fputs(ursa::lint::formatText(all, rootArg).c_str(), stdout);
+        if (all.empty())
             std::printf("ursa-lint: clean (%zu files, %zu cross-file "
                         "edges checked)\n",
                         files.size(), pm.files.size());
     }
-    if (!kept.empty()) {
-        std::fprintf(stderr, "ursa-lint: %zu violation(s)\n", kept.size());
+    if (!all.empty()) {
+        std::fprintf(stderr, "ursa-lint: %zu violation(s)\n", all.size());
         return 1;
     }
     return 0;
@@ -577,7 +508,7 @@ selfTest(const std::string &testdataArg)
 int
 main(int argc, char **argv)
 {
-    std::string root, testdata, baseline, writeBaseline, format = "text";
+    std::string root, testdata, format = "text";
     bool selfTestMode = false, listRules = false;
     bool fix = false, fixDryRun = false;
     for (int i = 1; i < argc; ++i) {
@@ -586,10 +517,6 @@ main(int argc, char **argv)
             root = argv[++i];
         else if (arg == "--testdata" && i + 1 < argc)
             testdata = argv[++i];
-        else if (arg == "--baseline" && i + 1 < argc)
-            baseline = argv[++i];
-        else if (arg == "--write-baseline" && i + 1 < argc)
-            writeBaseline = argv[++i];
         else if (arg == "--format" && i + 1 < argc)
             format = argv[++i];
         else if (arg.rfind("--format=", 0) == 0)
@@ -605,9 +532,8 @@ main(int argc, char **argv)
         else {
             std::fprintf(
                 stderr,
-                "usage: ursa-lint --root <dir> [--baseline <file>] "
-                "[--write-baseline <file>] [--format text|sarif]\n"
-                "                 [--fix | --fix-dry-run]\n"
+                "usage: ursa-lint --root <dir> [--format text|sarif] "
+                "[--fix | --fix-dry-run]\n"
                 "     | ursa-lint --self-test --testdata <dir>\n"
                 "     | ursa-lint --list-rules [--format markdown]\n");
             return 2;
@@ -641,6 +567,5 @@ main(int argc, char **argv)
         std::fprintf(stderr, "error: --root is required (or --self-test)\n");
         return 2;
     }
-    return lintTree(root, baseline, writeBaseline, format, fix,
-                    fixDryRun);
+    return lintTree(root, format, fix, fixDryRun);
 }
