@@ -9,12 +9,15 @@
 #include "workload/arrival.h"
 #include "workload/generator.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <sstream>
+#include <stdexcept>
+#include <string_view>
 
 namespace ursa::bench
 {
@@ -23,6 +26,57 @@ namespace
 {
 
 namespace fs = std::filesystem;
+
+/** The Fig. 11/12 grid's axes, in row order (app-major). */
+const std::vector<AppId> kGridApps = {AppId::Social, AppId::VanillaSocial,
+                                      AppId::Media, AppId::VideoPipeline};
+const std::vector<LoadKind> kGridLoads = {
+    LoadKind::Constant, LoadKind::Diurnal, LoadKind::Burst,
+    LoadKind::SkewedUp, LoadKind::SkewedDown};
+const std::vector<System> kGridSystems = {System::Ursa, System::Sinan,
+                                          System::Firm, System::AutoA,
+                                          System::AutoB};
+
+constexpr std::string_view kGridHeader =
+    "app,load,system,violation,cpu,decision_us";
+
+[[noreturn]] void
+cacheFail(const std::string &what)
+{
+    throw std::runtime_error("cache parse error: " + what);
+}
+
+/** Read a count and require it to equal `want`, before anything is
+ * sized from it. */
+void
+expectCount(std::istream &in, const char *what, std::size_t want)
+{
+    long long n = 0;
+    if (!(in >> n))
+        cacheFail(std::string("unreadable ") + what);
+    if (n < 0 || static_cast<unsigned long long>(n) != want)
+        cacheFail(std::string(what) + " " + std::to_string(n) +
+                  ", expected " + std::to_string(want));
+}
+
+double
+readFiniteValue(std::istream &in, const char *what)
+{
+    double v = 0.0;
+    if (!(in >> v) || !std::isfinite(v))
+        cacheFail(std::string("unreadable or non-finite ") + what);
+    return v;
+}
+
+/** Parse the whole of `field` as T; false on any leftover or error. */
+template <typename T>
+bool
+parseWhole(std::string_view field, T &out)
+{
+    const char *end = field.data() + field.size();
+    const auto res = std::from_chars(field.data(), end, out);
+    return !field.empty() && res.ec == std::errc{} && res.ptr == end;
+}
 
 /** Make the mix/profile for a (app, load) cell measurement phase. */
 struct CellLoad
@@ -276,31 +330,16 @@ cachedSinanSamples(const apps::AppSpec &app, const std::string &tag,
 {
     const std::string path = cacheDir() + "/sinan_" + tag + ".txt";
     std::lock_guard<std::mutex> lock(cachePathMutex(path));
-    // Try the cache.
     {
         std::ifstream in(path);
         if (in) {
-            std::size_t n = 0, fdim = 0, cdim = 0;
-            in >> n >> fdim >> cdim;
-            std::vector<baselines::SinanSample> samples(n);
-            bool good = static_cast<bool>(in);
-            for (auto &s : samples) {
-                s.features.resize(fdim);
-                s.latencyRatios.resize(cdim);
-                int viol = 0;
-                for (double &v : s.features)
-                    in >> v;
-                for (double &v : s.latencyRatios)
-                    in >> v;
-                in >> viol;
-                s.violation = viol != 0;
-                if (!in) {
-                    good = false;
-                    break;
-                }
+            try {
+                return readSinanSamples(in, static_cast<std::size_t>(count),
+                                        app.services.size(),
+                                        app.classes.size());
+            } catch (const std::runtime_error &) {
+                // Stale or corrupt: recompute below.
             }
-            if (good && n == static_cast<std::size_t>(count))
-                return samples;
         }
     }
     // Collect on dedicated clusters under the canonical mix. The
@@ -337,19 +376,53 @@ cachedSinanSamples(const apps::AppSpec &app, const std::string &tag,
         samples.insert(samples.end(), part.begin(), part.end());
 
     std::ofstream out(path);
-    if (out && !samples.empty()) {
-        out << samples.size() << ' ' << samples.front().features.size()
-            << ' ' << samples.front().latencyRatios.size() << "\n";
-        out.precision(17);
-        for (const auto &s : samples) {
-            for (double v : s.features)
-                out << v << ' ';
-            for (double v : s.latencyRatios)
-                out << v << ' ';
-            out << (s.violation ? 1 : 0) << "\n";
-        }
-    }
+    if (out && !samples.empty())
+        writeSinanSamples(out, samples);
     return samples;
+}
+
+std::vector<baselines::SinanSample>
+readSinanSamples(std::istream &in, std::size_t count, std::size_t services,
+                 std::size_t classes)
+{
+    expectCount(in, "sample count", count);
+    expectCount(in, "feature count", services + classes);
+    expectCount(in, "ratio count", classes);
+    std::vector<baselines::SinanSample> samples(count);
+    for (auto &s : samples) {
+        s.features.resize(services + classes);
+        s.latencyRatios.resize(classes);
+        for (double &v : s.features)
+            v = readFiniteValue(in, "feature");
+        for (double &v : s.latencyRatios)
+            v = readFiniteValue(in, "latency ratio");
+        int viol = 0;
+        if (!(in >> viol) || (viol != 0 && viol != 1))
+            cacheFail("violation flag is not 0 or 1");
+        s.violation = viol != 0;
+    }
+    std::string rest;
+    if (in >> rest)
+        cacheFail("trailing data after the last sample");
+    return samples;
+}
+
+void
+writeSinanSamples(std::ostream &out,
+                  const std::vector<baselines::SinanSample> &samples)
+{
+    out << samples.size() << ' '
+        << (samples.empty() ? 0 : samples.front().features.size()) << ' '
+        << (samples.empty() ? 0 : samples.front().latencyRatios.size())
+        << "\n";
+    out.precision(17);
+    for (const auto &s : samples) {
+        for (double v : s.features)
+            out << v << ' ';
+        for (double v : s.latencyRatios)
+            out << v << ' ';
+        out << (s.violation ? 1 : 0) << "\n";
+    }
 }
 
 const char *
@@ -510,50 +583,22 @@ performanceGrid(const PerfHarnessOptions &opts)
         cacheDir() + "/perf_grid_" + std::to_string(opts.seed) + "_" +
         std::to_string(opts.measure / sim::kMin) + ".csv";
 
-    std::vector<GridRow> grid;
-    const std::vector<AppId> apps = {AppId::Social, AppId::VanillaSocial,
-                                     AppId::Media, AppId::VideoPipeline};
-    const std::vector<LoadKind> loads = {
-        LoadKind::Constant, LoadKind::Diurnal, LoadKind::Burst,
-        LoadKind::SkewedUp, LoadKind::SkewedDown};
-    const std::vector<System> systems = {System::Ursa, System::Sinan,
-                                         System::Firm, System::AutoA,
-                                         System::AutoB};
-
-    // Try the cache.
     {
         std::ifstream in(path);
         if (in) {
-            std::string header;
-            std::getline(in, header);
-            std::string line;
-            while (std::getline(in, line)) {
-                std::istringstream ls(line);
-                GridRow row;
-                int a, l, s;
-                char comma;
-                ls >> a >> comma >> l >> comma >> s >> comma >>
-                    row.result.violationRate >> comma >>
-                    row.result.cpuCores >> comma >>
-                    row.result.decisionLatencyUs;
-                if (!ls)
-                    break;
-                row.app = static_cast<AppId>(a);
-                row.load = static_cast<LoadKind>(l);
-                row.system = static_cast<System>(s);
-                grid.push_back(row);
+            try {
+                return readGridCsv(in);
+            } catch (const std::runtime_error &) {
+                // Stale or corrupt: recompute below.
             }
-            if (grid.size() == apps.size() * loads.size() * systems.size())
-                return grid;
-            grid.clear();
         }
     }
 
     // Warm the per-app caches first (profile for Ursa, samples for
     // Sinan) so the grid cells below only read them; each app's two
     // artifacts are independent units of work.
-    exec::parallelFor(apps.size() * 2, [&](std::size_t i) {
-        const AppId id = apps[i / 2];
+    exec::parallelFor(kGridApps.size() * 2, [&](std::size_t i) {
+        const AppId id = kGridApps[i / 2];
         const apps::AppSpec app = makeApp(id);
         if (i % 2 == 0)
             cachedProfile(app, toString(id), explorationFor(opts));
@@ -565,13 +610,13 @@ performanceGrid(const PerfHarnessOptions &opts)
     // The 100 cells are independent simulations; fan them out. Each
     // cell owns its cluster and derives every seed from (system, app,
     // load), so the grid is bit-identical for any thread count.
-    const std::size_t cells =
-        apps.size() * loads.size() * systems.size();
-    grid = exec::parallelMap<GridRow>(cells, [&](std::size_t idx) {
-        const AppId a = apps[idx / (loads.size() * systems.size())];
-        const LoadKind l =
-            loads[idx / systems.size() % loads.size()];
-        const System s = systems[idx % systems.size()];
+    const std::size_t loads = kGridLoads.size();
+    const std::size_t systems = kGridSystems.size();
+    const std::size_t cells = kGridApps.size() * loads * systems;
+    const auto grid = exec::parallelMap<GridRow>(cells, [&](std::size_t idx) {
+        const AppId a = kGridApps[idx / (loads * systems)];
+        const LoadKind l = kGridLoads[idx / systems % loads];
+        const System s = kGridSystems[idx % systems];
         GridRow row;
         row.app = a;
         row.load = l;
@@ -586,18 +631,80 @@ performanceGrid(const PerfHarnessOptions &opts)
     });
 
     std::ofstream out(path);
-    if (out) {
-        out << "app,load,system,violation,cpu,decision_us\n";
-        out.precision(17);
-        for (const GridRow &row : grid) {
-            out << static_cast<int>(row.app) << ','
-                << static_cast<int>(row.load) << ','
-                << static_cast<int>(row.system) << ','
-                << row.result.violationRate << ',' << row.result.cpuCores
-                << ',' << row.result.decisionLatencyUs << "\n";
-        }
-    }
+    if (out)
+        writeGridCsv(out, grid);
     return grid;
+}
+
+std::vector<GridRow>
+readGridCsv(std::istream &in)
+{
+    std::string line;
+    if (!std::getline(in, line) || line != kGridHeader)
+        cacheFail("missing grid header");
+    const std::size_t cells =
+        kGridApps.size() * kGridLoads.size() * kGridSystems.size();
+    std::vector<GridRow> grid(cells);
+    std::vector<bool> seen(cells, false);
+    std::size_t rows = 0;
+    while (std::getline(in, line)) {
+        std::vector<std::string_view> fields;
+        std::string_view rest(line);
+        for (;;) {
+            const std::size_t comma = rest.find(',');
+            fields.push_back(rest.substr(0, comma));
+            if (comma == std::string_view::npos)
+                break;
+            rest.remove_prefix(comma + 1);
+        }
+        int a = -1, l = -1, s = -1;
+        GridRow row;
+        if (fields.size() != 6 || !parseWhole(fields[0], a) ||
+            !parseWhole(fields[1], l) || !parseWhole(fields[2], s) ||
+            !parseWhole(fields[3], row.result.violationRate) ||
+            !parseWhole(fields[4], row.result.cpuCores) ||
+            !parseWhole(fields[5], row.result.decisionLatencyUs))
+            cacheFail("malformed grid row '" + line + "'");
+        if (a < 0 || a >= static_cast<int>(kGridApps.size()) || l < 0 ||
+            l >= static_cast<int>(kGridLoads.size()) || s < 0 ||
+            s >= static_cast<int>(kGridSystems.size()))
+            cacheFail("grid cell out of range in '" + line + "'");
+        for (double v : {row.result.violationRate, row.result.cpuCores,
+                         row.result.decisionLatencyUs})
+            if (!std::isfinite(v) || v < 0.0)
+                cacheFail("negative or non-finite value in '" + line + "'");
+        const std::size_t idx =
+            (static_cast<std::size_t>(a) * kGridLoads.size() +
+             static_cast<std::size_t>(l)) *
+                kGridSystems.size() +
+            static_cast<std::size_t>(s);
+        if (seen[idx])
+            cacheFail("duplicate grid cell '" + line + "'");
+        seen[idx] = true;
+        row.app = kGridApps[a];
+        row.load = kGridLoads[l];
+        row.system = kGridSystems[s];
+        grid[idx] = row;
+        ++rows;
+    }
+    if (rows != cells)
+        cacheFail("grid has " + std::to_string(rows) + " of " +
+                  std::to_string(cells) + " cells");
+    return grid;
+}
+
+void
+writeGridCsv(std::ostream &out, const std::vector<GridRow> &grid)
+{
+    out << kGridHeader << "\n";
+    out.precision(17);
+    for (const GridRow &row : grid) {
+        out << static_cast<int>(row.app) << ','
+            << static_cast<int>(row.load) << ','
+            << static_cast<int>(row.system) << ','
+            << row.result.violationRate << ',' << row.result.cpuCores << ','
+            << row.result.decisionLatencyUs << "\n";
+    }
 }
 
 } // namespace ursa::bench

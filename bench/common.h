@@ -19,6 +19,7 @@
 #include "core/profile.h"
 #include "workload/trace.h"
 
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,6 +58,23 @@ baselines::SinanConfig benchSinanConfig(const apps::AppSpec &app,
 std::vector<baselines::SinanSample>
 cachedSinanSamples(const apps::AppSpec &app, const std::string &tag,
                    int count, std::uint64_t seed);
+
+/**
+ * Read a Sinan sample cache: a "count features ratios" header, then one
+ * line per sample of features, latency ratios and a 0/1 violation
+ * flag. The header must declare exactly `count` samples,
+ * `services + classes` features and `classes` ratios (checked before
+ * anything is sized from it); every value must be finite, and nothing
+ * may follow the last sample.
+ * @throws std::runtime_error at the first mismatch or malformed value.
+ */
+std::vector<baselines::SinanSample>
+readSinanSamples(std::istream &in, std::size_t count, std::size_t services,
+                 std::size_t classes);
+
+/** Write samples in the format readSinanSamples reads. */
+void writeSinanSamples(std::ostream &out,
+                       const std::vector<baselines::SinanSample> &samples);
 
 // --- the Fig. 11/12 deployment harness ------------------------------
 
@@ -156,6 +174,19 @@ struct GridRow
     CellResult result;
 };
 std::vector<GridRow> performanceGrid(const PerfHarnessOptions &opts);
+
+/**
+ * Read the grid's cache CSV: the header line, then one row per cell of
+ * app, load and system indices, violation rate, CPU cores and decision
+ * latency. Indices must be in range, values finite and non-negative,
+ * and every (app, load, system) cell must appear exactly once. Rows
+ * come back in performanceGrid's order.
+ * @throws std::runtime_error at the first malformed or missing cell.
+ */
+std::vector<GridRow> readGridCsv(std::istream &in);
+
+/** Write grid rows in the format readGridCsv reads. */
+void writeGridCsv(std::ostream &out, const std::vector<GridRow> &grid);
 
 /** The skewed mix of an app (factor applied to its update class). */
 std::vector<double> skewedMix(const apps::AppSpec &app, AppId id,

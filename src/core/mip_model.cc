@@ -3,8 +3,6 @@
 #include "check/check.h"
 #include "core/profile.h"
 #include "core/theorem.h"
-#include "solver/lp.h"
-#include "solver/mip.h"
 
 #include <algorithm>
 #include <cmath>
@@ -342,149 +340,6 @@ UrsaOptimizer::solve(const ModelInput &input) const
     URSA_CHECK(std::fabs(out.totalCpuCores - incumbent) <= 1e-6,
                "core.mip",
                "objective drifted from the recomputed resource sum");
-    return out;
-}
-
-ModelOutput
-solveViaGenericMip(const ModelInput &input, std::size_t maxNodes)
-{
-    if (input.profile == nullptr)
-        throw std::invalid_argument("model input missing profile");
-    Context ctx(input);
-    const PercentileGrid &grid = ctx.prof.grid;
-    const int G = static_cast<int>(grid.size());
-
-    // Variable layout:
-    //   delta[s][l]            one-hot level choice (binary)
-    //   gamma[stage(c,k)][g]   one-hot percentile choice per stage
-    //   z[stage(c,k)][l][g]    linearized product (continuous [0,1])
-    struct StageRef
-    {
-        int cls;
-        int svc;
-    };
-    std::vector<StageRef> stages;
-    for (int c = 0; c < ctx.numClasses; ++c)
-        for (int s : ctx.paths[c].services)
-            if (!ctx.prof.services[s].levels.empty())
-                stages.push_back({c, s});
-
-    std::vector<std::vector<std::size_t>> deltaIdx(ctx.numServices);
-    std::size_t nv = 0;
-    for (int s : ctx.active) {
-        deltaIdx[s].resize(ctx.prof.services[s].levels.size());
-        for (auto &idx : deltaIdx[s])
-            idx = nv++;
-    }
-    std::vector<std::size_t> gammaBase(stages.size());
-    for (std::size_t k = 0; k < stages.size(); ++k) {
-        gammaBase[k] = nv;
-        nv += G;
-    }
-    std::vector<std::size_t> zBase(stages.size());
-    for (std::size_t k = 0; k < stages.size(); ++k) {
-        zBase[k] = nv;
-        nv += ctx.prof.services[stages[k].svc].levels.size() * G;
-    }
-
-    solver::MipProblem mip(nv);
-    for (int s : ctx.active) {
-        std::vector<std::pair<std::size_t, double>> onehot;
-        for (std::size_t l = 0; l < deltaIdx[s].size(); ++l) {
-            mip.setBinary(deltaIdx[s][l]);
-            mip.lp.setCost(deltaIdx[s][l], ctx.resource[s][l]);
-            onehot.emplace_back(deltaIdx[s][l], 1.0);
-        }
-        mip.lp.addSparseConstraint(onehot, solver::Rel::Equal, 1.0);
-    }
-    for (std::size_t k = 0; k < stages.size(); ++k) {
-        std::vector<std::pair<std::size_t, double>> onehot;
-        for (int g = 0; g < G; ++g) {
-            mip.setBinary(gammaBase[k] + g);
-            onehot.emplace_back(gammaBase[k] + g, 1.0);
-        }
-        mip.lp.addSparseConstraint(onehot, solver::Rel::Equal, 1.0);
-    }
-    // z linking: z >= delta + gamma - 1, z <= delta, z <= gamma.
-    for (std::size_t k = 0; k < stages.size(); ++k) {
-        const int s = stages[k].svc;
-        const int nl =
-            static_cast<int>(ctx.prof.services[s].levels.size());
-        for (int l = 0; l < nl; ++l) {
-            for (int g = 0; g < G; ++g) {
-                const std::size_t z = zBase[k] + l * G + g;
-                mip.lp.setBounds(z, 0.0, 1.0);
-                mip.lp.addSparseConstraint({{z, 1.0},
-                                            {deltaIdx[s][l], -1.0},
-                                            {gammaBase[k] + g, -1.0}},
-                                           solver::Rel::GreaterEq, -1.0);
-                mip.lp.addSparseConstraint(
-                    {{z, 1.0}, {deltaIdx[s][l], -1.0}},
-                    solver::Rel::LessEq, 0.0);
-                mip.lp.addSparseConstraint(
-                    {{z, 1.0}, {gammaBase[k] + g, -1.0}},
-                    solver::Rel::LessEq, 0.0);
-            }
-        }
-    }
-    // Constraint 1 (latency) and 2 (residual budget) per class.
-    for (int c = 0; c < ctx.numClasses; ++c) {
-        std::vector<std::pair<std::size_t, double>> latencyRow;
-        std::vector<std::pair<std::size_t, double>> residualRow;
-        for (std::size_t k = 0; k < stages.size(); ++k) {
-            if (stages[k].cls != c)
-                continue;
-            const int s = stages[k].svc;
-            const auto &svc = ctx.prof.services[s];
-            const int nl = static_cast<int>(svc.levels.size());
-            for (int l = 0; l < nl; ++l)
-                for (int g = 0; g < G; ++g)
-                    latencyRow.emplace_back(zBase[k] + l * G + g,
-                                            svc.levels[l].latency[c][g]);
-            for (int g = 0; g < G; ++g)
-                residualRow.emplace_back(gammaBase[k] + g,
-                                         100.0 - grid[g]);
-        }
-        if (latencyRow.empty())
-            continue;
-        mip.lp.addSparseConstraint(
-            latencyRow, solver::Rel::LessEq,
-            static_cast<double>(input.slas[c].targetUs));
-        mip.lp.addSparseConstraint(residualRow, solver::Rel::LessEq,
-                                   100.0 - input.slas[c].percentile);
-    }
-
-    solver::MipOptions opts;
-    opts.maxNodes = maxNodes;
-    const solver::MipResult res = solver::solveMip(mip, opts);
-
-    ModelOutput out;
-    out.level.assign(ctx.numServices, -1);
-    out.replicas.assign(ctx.numServices, 0);
-    out.upperBoundUs.assign(ctx.numClasses, 0.0);
-    out.nodesExplored = res.nodesExplored;
-    out.hitNodeLimit = res.hitNodeLimit;
-    if (res.status != solver::LpStatus::Optimal)
-        return out;
-    out.feasible = true;
-    out.totalCpuCores = res.objective;
-    for (int s : ctx.active) {
-        for (std::size_t l = 0; l < deltaIdx[s].size(); ++l) {
-            if (res.x[deltaIdx[s][l]] > 0.5) {
-                out.level[s] = static_cast<int>(l);
-                out.replicas[s] = ctx.reps[s][l];
-            }
-        }
-    }
-    for (std::size_t k = 0; k < stages.size(); ++k) {
-        const int c = stages[k].cls;
-        const int s = stages[k].svc;
-        const auto &svc = ctx.prof.services[s];
-        for (std::size_t l = 0; l < svc.levels.size(); ++l)
-            for (int g = 0; g < G; ++g)
-                if (res.x[zBase[k] + l * G + g] > 0.5)
-                    out.upperBoundUs[c] += svc.levels[l].latency[c][g];
-    }
     return out;
 }
 

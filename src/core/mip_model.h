@@ -6,13 +6,12 @@
  * that for every request class the Theorem-1 latency upper bound meets
  * the SLA, minimizing total CPU.
  *
- * Two solvers are provided:
- *  - UrsaOptimizer::solve — exact branch-and-bound over per-service
- *    levels with an inner percentile-split DP per class (the production
- *    path; scales to real topologies);
- *  - lowerToGenericMip — a literal 0/1 ILP encoding solved by
- *    ursa::solver::solveMip (the Gurobi stand-in), used to cross-check
- *    the specialized solver on small instances.
+ * The paper solves this model with Gurobi. UrsaOptimizer::solve is the
+ * exact solver used here: a branch-and-bound over per-service levels
+ * with an inner percentile-split DP per class, which scales to real
+ * topologies. The test suite cross-checks it on small instances
+ * against a literal 0/1 ILP encoding of the same model, solved by a
+ * generic LP-relaxation branch-and-bound.
  */
 
 #ifndef URSA_CORE_MIP_MODEL_H
@@ -20,7 +19,6 @@
 
 #include "core/profile.h"
 #include "sim/types.h"
-#include "solver/mip.h"
 
 #include <cstdint>
 #include <vector>
@@ -93,15 +91,6 @@ class UrsaOptimizer
   private:
     OptimizerOptions opts_;
 };
-
-/**
- * Literal 0/1 ILP encoding of MIP 1 (with linearized one-hot products)
- * solved through ursa::solver. Exponentially slower than the
- * specialized solver; intended for small cross-check instances.
- * Visit counts are rounded to >= 1 repeats of the stage.
- */
-ModelOutput solveViaGenericMip(const ModelInput &input,
-                               std::size_t maxNodes = 500000);
 
 } // namespace ursa::core
 

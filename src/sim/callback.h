@@ -8,8 +8,8 @@
  * Captures up to 48 bytes are stored inline (every continuation in the
  * kernel fits: a `this` pointer, a shared_ptr or two and a timestamp);
  * larger callables fall back to a single heap allocation. Trivially
- * copyable inline captures relocate with a plain memcpy, which is what
- * makes heap sifts in the event queue cheap.
+ * copyable inline captures relocate with a plain memcpy, which keeps
+ * moves in and out of the event queue's slot slab cheap.
  */
 
 #ifndef URSA_SIM_CALLBACK_H

@@ -4,10 +4,8 @@
 #include "sim/time.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 
 namespace ursa::sim
@@ -15,7 +13,6 @@ namespace ursa::sim
 
 namespace
 {
-constexpr SimTime kNoEvent = std::numeric_limits<SimTime>::max();
 
 /// Calendar geometry bounds. Width is clamped to [16us, ~4.2s]; the
 /// bucket count to [64, 65536] (sized at ~4x pending population so the
@@ -25,31 +22,11 @@ constexpr int kMaxWidthShift = 22;
 constexpr std::size_t kMinBuckets = 64;
 constexpr std::size_t kMaxBuckets = 65536;
 
-EventQueue::Backend
-backendFromEnv()
-{
-    const char *v = std::getenv("URSA_EVENTQUEUE");
-    if (v == nullptr || *v == '\0')
-        return EventQueue::Backend::Calendar;
-    const std::string_view s(v);
-    if (s == "calendar")
-        return EventQueue::Backend::Calendar;
-    if (s == "heap")
-        return EventQueue::Backend::Heap;
-    throw std::runtime_error(
-        "URSA_EVENTQUEUE must be 'calendar' or 'heap'");
-}
-
 } // namespace
 
-EventQueue::EventQueue() : EventQueue(backendFromEnv()) {}
-
-EventQueue::EventQueue(Backend backend) : backend_(backend)
+EventQueue::EventQueue() : buckets_(kMinBuckets)
 {
-    if (backend_ == Backend::Calendar) {
-        buckets_.resize(kMinBuckets);
-        epochEnd_ = static_cast<SimTime>(buckets_.size()) << widthShift_;
-    }
+    epochEnd_ = static_cast<SimTime>(buckets_.size()) << widthShift_;
 }
 
 void
@@ -60,191 +37,6 @@ EventQueue::schedule(SimTime at, Callback fn)
     // monotonicity invariant.
     if (at < now_)
         throw std::logic_error("scheduling an event in the past");
-    if (backend_ == Backend::Heap)
-        heapPush(Entry{at, seq_++, std::move(fn)});
-    else
-        scheduleCalendar(at, std::move(fn));
-#if URSA_CHECK_LEVEL >= 2
-    maybeAuditStructure();
-#endif
-}
-
-void
-EventQueue::scheduleIn(SimTime delay, Callback fn)
-{
-    if (delay < 0)
-        throw std::logic_error("negative event delay");
-    schedule(now_ + delay, std::move(fn));
-}
-
-bool
-EventQueue::runNext()
-{
-    if (backend_ == Backend::Heap) {
-        if (heap_.empty())
-            return false;
-        Entry e = popTop();
-#if URSA_CHECK_LEVEL >= 1
-        auditBatchStart(e.at);
-        URSA_CHECK(e.at > lastAt_ || (e.at == lastAt_ && e.seq > lastSeq_),
-                   "sim.event_queue",
-                   "FIFO tie-break violation: (time, seq) not increasing");
-        lastAt_ = e.at;
-        lastSeq_ = e.seq;
-#endif
-        now_ = e.at;
-        ++processed_;
-        e.fn();
-        return true;
-    }
-
-    if (count_ == 0 || !pullNextDay(kNoEvent))
-        return false;
-    const Key k = day_[dayPos_++];
-#if URSA_CHECK_LEVEL >= 1
-    auditBatchStart(k.at);
-    URSA_CHECK(k.at > lastAt_ || (k.at == lastAt_ && k.seq > lastSeq_),
-               "sim.event_queue",
-               "FIFO tie-break violation: (time, seq) not increasing");
-    lastAt_ = k.at;
-    lastSeq_ = k.seq;
-#endif
-    if (lastDispatchAt_ >= 0 && k.at > lastDispatchAt_) {
-        gapSum_ += k.at - lastDispatchAt_;
-        ++gapCount_;
-    }
-    lastDispatchAt_ = k.at;
-    now_ = k.at;
-    --count_;
-    ++processed_;
-    Callback fn = std::move(slots_[k.slot]);
-    freeSlots_.push_back(k.slot);
-    if (dayPos_ >= day_.size()) {
-        day_.clear();
-        dayPos_ = 0;
-    }
-    fn();
-    return true;
-}
-
-void
-EventQueue::runUntil(SimTime until)
-{
-    if (backend_ == Backend::Heap)
-        runUntilHeap(until);
-    else
-        runUntilCalendar(until);
-}
-
-SimTime
-EventQueue::nextEventTime()
-{
-    if (backend_ == Backend::Heap)
-        return heap_.empty() ? kNoEvent : heap_.front().at;
-    if (count_ == 0)
-        return kNoEvent;
-    // The day run list holds everything below the frontier, so its
-    // front (sorted) is the global minimum when non-empty; otherwise
-    // the first occupied bucket beats every later bucket and the
-    // overflow ladder (all at or beyond the epoch end).
-    if (dayPos_ < day_.size())
-        return day_[dayPos_].at;
-    for (std::size_t c = cursor_; c < buckets_.size(); ++c) {
-        if (buckets_[c].empty())
-            continue;
-        SimTime best = kNoEvent;
-        for (const Key &k : buckets_[c])
-            best = std::min(best, k.at);
-        return best;
-    }
-    return overflow_.empty() ? kNoEvent : minOverflow_;
-}
-
-// --- heap backend -------------------------------------------------------
-
-void
-EventQueue::heapPush(Entry e)
-{
-    // Hole-based sift-up: parents slide down until e's slot is found,
-    // so each level costs one entry move instead of a swap.
-    heap_.emplace_back();
-    std::size_t i = heap_.size() - 1;
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / 2;
-        if (earlier(heap_[parent], e))
-            break;
-        heap_[i] = std::move(heap_[parent]);
-        i = parent;
-    }
-    heap_[i] = std::move(e);
-}
-
-EventQueue::Entry
-EventQueue::popTop()
-{
-    Entry top = std::move(heap_.front());
-    Entry last = std::move(heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty()) {
-        // Hole-based sift-down: the smaller child slides up until
-        // `last` fits, again one move per level.
-        std::size_t i = 0;
-        const std::size_t n = heap_.size();
-        for (;;) {
-            std::size_t child = 2 * i + 1;
-            if (child >= n)
-                break;
-            if (child + 1 < n && earlier(heap_[child + 1], heap_[child]))
-                ++child;
-            if (!earlier(heap_[child], last))
-                break;
-            heap_[i] = std::move(heap_[child]);
-            i = child;
-        }
-        heap_[i] = std::move(last);
-    }
-    return top;
-}
-
-void
-EventQueue::runUntilHeap(SimTime until)
-{
-    while (!heap_.empty() && heap_.front().at <= until) {
-        Entry e = popTop();
-#if URSA_CHECK_LEVEL >= 1
-        auditBatchStart(e.at);
-        URSA_CHECK(e.at > lastAt_ || (e.at == lastAt_ && e.seq > lastSeq_),
-                   "sim.event_queue",
-                   "FIFO tie-break violation: (time, seq) not increasing");
-        lastAt_ = e.at;
-        lastSeq_ = e.seq;
-#endif
-        now_ = e.at;
-        ++processed_;
-        e.fn();
-    }
-    if (until > now_)
-        now_ = until;
-}
-
-// --- calendar backend ---------------------------------------------------
-
-std::uint32_t
-EventQueue::storeSlot(Callback &&fn)
-{
-    if (!freeSlots_.empty()) {
-        const std::uint32_t s = freeSlots_.back();
-        freeSlots_.pop_back();
-        slots_[s] = std::move(fn);
-        return s;
-    }
-    slots_.push_back(std::move(fn));
-    return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
-void
-EventQueue::scheduleCalendar(SimTime at, Callback &&fn)
-{
     if (count_ == 0) {
         // Empty queue: re-anchor the epoch so `at` lands in bucket 0
         // instead of trickling through the overflow ladder after the
@@ -265,6 +57,39 @@ EventQueue::scheduleCalendar(SimTime at, Callback &&fn)
     // count) the next time the drain loop is between days.
     if (count_ > 4 * buckets_.size())
         resizePending_ = true;
+#if URSA_CHECK_LEVEL >= 2
+    maybeAuditStructure();
+#endif
+}
+
+void
+EventQueue::scheduleIn(SimTime delay, Callback fn)
+{
+    if (delay < 0)
+        throw std::logic_error("negative event delay");
+    schedule(now_ + delay, std::move(fn));
+}
+
+void
+EventQueue::runUntil(SimTime until)
+{
+    while (pullNextDay(until))
+        runBatch();
+    if (until > now_)
+        now_ = until;
+}
+
+std::uint32_t
+EventQueue::storeSlot(Callback &&fn)
+{
+    if (!freeSlots_.empty()) {
+        const std::uint32_t s = freeSlots_.back();
+        freeSlots_.pop_back();
+        slots_[s] = std::move(fn);
+        return s;
+    }
+    slots_.push_back(std::move(fn));
+    return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
 void
@@ -358,15 +183,6 @@ EventQueue::runBatch()
 }
 
 void
-EventQueue::runUntilCalendar(SimTime until)
-{
-    while (pullNextDay(until))
-        runBatch();
-    if (until > now_)
-        now_ = until;
-}
-
-void
 EventQueue::rebuildEpoch(SimTime startAt)
 {
     // Gather every key still in the grid or the ladder. Buckets before
@@ -427,12 +243,6 @@ EventQueue::auditBatchStart(SimTime at)
 void
 EventQueue::corruptOrderForTest()
 {
-    if (backend_ == Backend::Heap) {
-        if (heap_.size() < 2)
-            return;
-        std::swap(heap_[0], heap_[1]);
-        return;
-    }
     if (count_ < 2)
         return;
     // Flatten the whole calendar into the day run list, then swap the
@@ -468,18 +278,6 @@ EventQueue::maybeAuditStructure()
 void
 EventQueue::auditStructure()
 {
-    if (backend_ == Backend::Heap) {
-        for (std::size_t i = 1; i < heap_.size(); ++i) {
-            const std::size_t parent = (i - 1) / 2;
-            URSA_CHECK_SLOW(earlier(heap_[parent], heap_[i]),
-                            "sim.event_queue",
-                            "heap-order violation between parent and child");
-            URSA_CHECK_SLOW(heap_[i].at >= now_, "sim.event_queue",
-                            "pending event earlier than the sim clock");
-        }
-        return;
-    }
-
     // Day run list: sorted by (time, seq), nothing before the clock,
     // everything below the frontier.
     std::size_t live = day_.size() - dayPos_;
@@ -512,7 +310,7 @@ EventQueue::auditStructure()
     }
     // Overflow ladder: beyond the epoch, with an exact cached minimum.
     live += overflow_.size();
-    SimTime minSeen = kNoEvent;
+    SimTime minSeen = std::numeric_limits<SimTime>::max();
     for (const Key &k : overflow_) {
         URSA_CHECK_SLOW(k.at >= epochEnd_, "sim.event_queue",
                         "overflow event inside the epoch horizon");

@@ -1,27 +1,21 @@
 /**
  * @file
  * The discrete-event kernel: a time-ordered queue of callbacks with a
- * monotone clock. Ties are broken by insertion order so the simulation
+ * monotone clock. Ties are broken by insertion order, so every event
+ * has a place in one strict (time, seq) total order and the simulation
  * is fully deterministic.
  *
- * Two backends share one strict (time, seq) total order:
- *
- *  - `Calendar` (default): a calendar queue tuned for the banded
- *    timestamp distributions our workloads produce. Scheduling appends
- *    a 24-byte key to a time bucket (O(1)); the callback body lives in
- *    a slot slab and never moves with the key (struct-of-arrays — heap
- *    sifts used to relocate 80-byte entries one level at a time).
- *    Bucket width is a power of two, recalibrated from the observed
- *    inter-event gap at every epoch rebuild; events beyond the epoch
- *    horizon wait in an overflow ladder. Draining pulls one bucket at
- *    a time into a run list sorted by exact (time, seq), so dispatch
- *    order is bit-identical to the heap's.
- *  - `Heap` (`URSA_EVENTQUEUE=heap`): the PR-1 hand-rolled binary
- *    min-heap, kept as the A/B benching baseline and the differential
- *    -test oracle.
+ * The queue is a calendar queue tuned for the banded timestamp
+ * distributions our workloads produce. Scheduling appends a 24-byte key
+ * to a time bucket (O(1)); the callback body lives in a slot slab and
+ * never moves with the key (struct-of-arrays). Bucket width is a power
+ * of two, recalibrated from the observed inter-event gap at every
+ * epoch rebuild; events beyond the epoch horizon wait in an overflow
+ * ladder. Draining pulls one bucket at a time into a run list sorted
+ * by exact (time, seq).
  *
  * Dispatch is batched: all events of one timestamp drain as a band —
- * the clock advances once and the order audit runs per batch instead
+ * the clock advances once and the clock audit runs per batch instead
  * of per event.
  */
 
@@ -44,21 +38,8 @@ class EventQueue
   public:
     using Callback = InlineCallback;
 
-    /** Event-ordering backend. */
-    enum class Backend
-    {
-        Calendar, ///< calendar queue, O(1) amortized (default)
-        Heap,     ///< binary min-heap oracle (URSA_EVENTQUEUE=heap)
-    };
-
-    /** Backend from URSA_EVENTQUEUE ("heap"/"calendar"; default calendar). */
+    /** An empty queue with its clock at 0. */
     EventQueue();
-
-    /** Explicit backend (differential tests, A/B benching). */
-    explicit EventQueue(Backend backend);
-
-    /** Active backend. */
-    Backend backend() const { return backend_; }
 
     /** Current simulated time. */
     SimTime now() const { return now_; }
@@ -73,67 +54,28 @@ class EventQueue
     void scheduleIn(SimTime delay, Callback fn);
 
     /**
-     * Pop and run the next event, advancing the clock to its time.
-     * @return false when the queue is empty.
-     */
-    bool runNext();
-
-    /**
      * Run every event with time <= `until`, then set the clock to
      * `until`. New events scheduled while running are honored.
      */
     void runUntil(SimTime until);
 
     /** Number of pending events. */
-    std::size_t pending() const
-    {
-        return backend_ == Backend::Heap ? heap_.size() : count_;
-    }
+    std::size_t pending() const { return count_; }
 
     /** Total events executed so far. */
     std::uint64_t processed() const { return processed_; }
 
-    /** Earliest pending event time, or `empty` sentinel (max SimTime). */
-    SimTime nextEventTime();
-
 #if URSA_CHECK_LEVEL >= 1
     /**
      * Violation injection for the check layer's own tests: swap the
-     * two earliest entries so the next pops run out of (time, seq)
-     * order and the level-1 monotonicity check fires. No-op with
+     * two earliest entries so the next dispatches run out of (time,
+     * seq) order and the level-1 monotonicity check fires. No-op with
      * fewer than two pending events.
      */
     void corruptOrderForTest();
 #endif
 
   private:
-    // --- heap backend ---------------------------------------------------
-
-    struct Entry
-    {
-        SimTime at = 0;
-        std::uint64_t seq = 0;
-        Callback fn;
-    };
-
-    /** Strict total order: earlier time first, then insertion order. */
-    static bool
-    earlier(const Entry &a, const Entry &b)
-    {
-        if (a.at != b.at)
-            return a.at < b.at;
-        return a.seq < b.seq;
-    }
-
-    void heapPush(Entry e);
-
-    /** Move the minimum entry out of the heap and restore heap order. */
-    Entry popTop();
-
-    void runUntilHeap(SimTime until);
-
-    // --- calendar backend -----------------------------------------------
-
     /**
      * Sort/relocation key of one pending event; the callback stays put
      * in `slots_[slot]` while keys move between buckets and the day
@@ -146,6 +88,7 @@ class EventQueue
         std::uint32_t slot = 0;
     };
 
+    /** Strict total order: earlier time first, then insertion order. */
     static bool
     keyEarlier(const Key &a, const Key &b)
     {
@@ -156,8 +99,6 @@ class EventQueue
 
     std::uint32_t storeSlot(Callback &&fn);
     void calendarInsert(Key k);
-    void scheduleCalendar(SimTime at, Callback &&fn);
-    void runUntilCalendar(SimTime until);
 
     /**
      * Make the day run list non-empty, pulling the next occupied
@@ -188,12 +129,11 @@ class EventQueue
     void auditBatchStart(SimTime at);
 #endif
 #if URSA_CHECK_LEVEL >= 2
-    /** Full backend-structure scan, sampled every kAuditStride ops. */
+    /** Full calendar-structure scan, sampled every kAuditStride ops. */
     void auditStructure();
     void maybeAuditStructure();
 #endif
 
-    Backend backend_;
     SimTime now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t processed_ = 0;
@@ -208,9 +148,6 @@ class EventQueue
     static constexpr std::uint64_t kAuditStride = 1024;
     std::uint64_t auditCountdown_ = 0;
 #endif
-
-    /// Binary min-heap ordered by `earlier`; heap_[0] is the minimum.
-    std::vector<Entry> heap_;
 
     /// Callback slab: bodies stay in their slot from schedule to
     /// dispatch; `freeSlots_` recycles vacated slots LIFO.

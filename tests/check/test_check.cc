@@ -100,13 +100,13 @@ TEST(CheckInjection, EventQueueOrderViolationFires)
     q.schedule(10, [] {});
     q.schedule(20, [] {});
     q.schedule(30, [] {});
-    q.corruptOrderForTest(); // swap the heap's first two entries
+    q.corruptOrderForTest(); // swap the two earliest events
 
     check::ScopedCapture trap;
-    // Draining a corrupted heap must trip the dispatch-order audit:
-    // after the swapped root pops, a later pop travels back in time.
-    while (q.runNext()) {
-    }
+    // Draining the corrupted queue must trip the dispatch-order audit:
+    // after the swapped-in later event runs, the next one travels back
+    // in time.
+    q.runUntil(100);
     EXPECT_FALSE(trap.empty());
     EXPECT_TRUE(trap.sawComponent("sim.event_queue"));
 }

@@ -4,11 +4,12 @@
  * level selection on synthetic profiles, infeasibility, SLA-tightness
  * monotonicity, and cross-checking the specialized branch-and-bound
  * against the generic 0/1 ILP lowering solved by the simplex-based
- * MIP solver (the Gurobi stand-in).
+ * MIP oracle (tests/solver/; the paper used Gurobi).
  */
 
 #include "core/mip_model.h"
 
+#include "solver/mip_lowering.h"
 #include "stats/rng.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@ namespace
 using namespace ursa::core;
 using ursa::sim::fromMs;
 using ursa::sim::SlaSpec;
+using ursa::solver::solveViaGenericMip;
 using ursa::stats::Rng;
 
 /**
@@ -190,6 +192,7 @@ TEST(Optimizer, ServicesWithoutLevelsAreSkipped)
 // instances (the DESIGN.md equivalence claim).
 TEST(OptimizerProperty, MatchesGenericMipLowering)
 {
+    // One class, one visit per service.
     Rng rng(99);
     for (int trial = 0; trial < 12; ++trial) {
         const int services = 1 + static_cast<int>(rng.uniformInt(2));
@@ -204,6 +207,7 @@ TEST(OptimizerProperty, MatchesGenericMipLowering)
 
         const auto fast = UrsaOptimizer().solve(in);
         const auto exact = solveViaGenericMip(in);
+        ASSERT_FALSE(exact.hitNodeLimit) << "trial " << trial;
         ASSERT_EQ(fast.feasible, exact.feasible)
             << "trial " << trial << " target " << target;
         if (fast.feasible) {
@@ -211,6 +215,52 @@ TEST(OptimizerProperty, MatchesGenericMipLowering)
                 << "trial " << trial;
         }
     }
+
+    // Two classes sharing each service's level choice: class 1's
+    // latencies scale per level, the classes carry separate loads and
+    // SLA percentiles (99 and 50), and each class visits a service 0
+    // (load only), 1 or 2 times.
+    int feasible = 0;
+    for (int trial = 0; trial < 40; ++trial) {
+        const int services = 1 + static_cast<int>(rng.uniformInt(3));
+        const int levels = 2 + static_cast<int>(rng.uniformInt(2));
+        auto prof = syntheticProfile(
+            services, levels, 2, rng.uniform(5.0, 20.0),
+            rng.uniform(300.0, 1500.0), rng.uniform(0.2, 1.0),
+            {99.0, 99.9});
+        for (ServiceProfile &svc : prof.services)
+            for (LprLevel &level : svc.levels) {
+                const double scale = rng.uniform(0.5, 2.0);
+                for (double &v : level.latency[1])
+                    v *= scale;
+            }
+        ModelInput in;
+        in.profile = &prof;
+        in.slas = {{99.0, fromMs(rng.uniform(1.0, 12.0))},
+                   {50.0, fromMs(rng.uniform(1.0, 12.0))}};
+        for (int s = 0; s < services; ++s) {
+            in.loads.push_back(
+                {rng.uniform(20.0, 150.0), rng.uniform(20.0, 150.0)});
+            in.slaVisits.push_back(
+                {static_cast<double>(rng.uniformInt(3)),
+                 static_cast<double>(rng.uniformInt(3))});
+        }
+
+        const auto fast = UrsaOptimizer().solve(in);
+        const auto exact = solveViaGenericMip(in);
+        ASSERT_FALSE(exact.hitNodeLimit) << "multi-class trial " << trial;
+        ASSERT_EQ(fast.feasible, exact.feasible)
+            << "multi-class trial " << trial;
+        if (fast.feasible) {
+            ++feasible;
+            EXPECT_NEAR(fast.totalCpuCores, exact.totalCpuCores, 1e-6)
+                << "multi-class trial " << trial;
+        }
+    }
+    // Both outcomes occur, so neither side can pass by always
+    // answering the same way.
+    EXPECT_GT(feasible, 0);
+    EXPECT_LT(feasible, 40);
 }
 
 TEST(Optimizer, MissingProfileThrows)

@@ -6,7 +6,10 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
+#include <map>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -15,6 +18,47 @@ namespace
 
 using ursa::sim::EventQueue;
 using ursa::sim::SimTime;
+
+/**
+ * The order oracle: the kernel's contract written the obvious way. A
+ * multimap inserts an equal key after the existing ones, so equal-time
+ * events run in scheduling order by construction.
+ */
+class ReferenceQueue
+{
+  public:
+    SimTime now() const { return now_; }
+    std::size_t pending() const { return events_.size(); }
+
+    void
+    schedule(SimTime at, std::function<void()> fn)
+    {
+        if (at < now_)
+            throw std::logic_error("scheduling an event in the past");
+        events_.emplace(at, std::move(fn));
+    }
+
+    void
+    scheduleIn(SimTime delay, std::function<void()> fn)
+    {
+        schedule(now_ + delay, std::move(fn));
+    }
+
+    void
+    runUntil(SimTime until)
+    {
+        while (!events_.empty() && events_.begin()->first <= until) {
+            auto node = events_.extract(events_.begin());
+            now_ = node.key();
+            node.mapped()();
+        }
+        now_ = std::max(now_, until);
+    }
+
+  private:
+    SimTime now_ = 0;
+    std::multimap<SimTime, std::function<void()>> events_;
+};
 
 TEST(EventQueue, RunsInTimeOrder)
 {
@@ -92,16 +136,10 @@ TEST(EventQueue, ZeroDelaySameTimestampRunsAfterCurrent)
     EXPECT_EQ(q.now(), 10);
 }
 
-TEST(EventQueue, RunNextReturnsFalseWhenEmpty)
-{
-    EventQueue q;
-    EXPECT_FALSE(q.runNext());
-}
-
-// The equal-time FIFO guarantee must survive arbitrary heap churn:
-// interleave schedules and pops so entries move through many sift-up /
-// sift-down paths, and check the full execution order against the
-// (time, insertion) reference order.
+// The equal-time FIFO guarantee must survive arbitrary queue churn:
+// interleave schedules and partial drains so entries land in the day
+// run list, the buckets and later epochs, and check the full execution
+// order against the (time, insertion) reference order.
 TEST(EventQueue, FifoTieBreakSurvivesHeapChurn)
 {
     EventQueue q;
@@ -111,7 +149,7 @@ TEST(EventQueue, FifoTieBreakSurvivesHeapChurn)
 
     // Deterministic pseudo-random times with many collisions: each
     // round draws from 8 slots, and rounds use disjoint time bases so
-    // mid-stream pops never advance the clock past a later schedule.
+    // mid-stream drains never advance the clock past a later schedule.
     unsigned long long x = 12345;
     auto nextTime = [&](int round) -> SimTime {
         x = x * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -125,10 +163,9 @@ TEST(EventQueue, FifoTieBreakSurvivesHeapChurn)
             expected.emplace_back(at, id);
             q.schedule(at, [&fired, at, id] { fired.emplace_back(at, id); });
         }
-        // Pop a few mid-stream so later inserts sift through a
-        // restructured heap.
-        q.runNext();
-        q.runNext();
+        // Drain the round's first slots mid-stream, so later ties
+        // insert into a partly consumed day run list.
+        q.runUntil(100 * (round + 1) + 2);
     }
     q.runUntil(100000);
 
@@ -158,54 +195,31 @@ TEST(EventQueue, MoveOnlyCallbacksAndHeapFallback)
 
 TEST(EventQueue, PopReleasesCallbackState)
 {
-    // runNext must move the entry out of the heap: the shared capture
-    // is released as soon as the event has run, not when the queue
-    // drains or is destroyed.
+    // Dispatch must move the callback out of its slot: the shared
+    // capture is released as soon as the event has run, not when the
+    // slot is reused or the queue is destroyed.
     EventQueue q;
     auto token = std::make_shared<int>(1);
     q.schedule(10, [token] { (void)*token; });
+    q.schedule(20, [] {});
     EXPECT_EQ(token.use_count(), 2);
-    q.runNext();
+    q.runUntil(10);
     EXPECT_EQ(token.use_count(), 1);
 }
 
-// --- calendar-vs-heap differential and calendar stress ------------------
-
-TEST(EventQueue, ExplicitBackendSelection)
-{
-    EventQueue cal(EventQueue::Backend::Calendar);
-    EventQueue heap(EventQueue::Backend::Heap);
-    EXPECT_EQ(cal.backend(), EventQueue::Backend::Calendar);
-    EXPECT_EQ(heap.backend(), EventQueue::Backend::Heap);
-}
-
-TEST(EventQueue, NextEventTimeBothBackends)
-{
-    for (const auto backend : {EventQueue::Backend::Calendar,
-                               EventQueue::Backend::Heap}) {
-        EventQueue q(backend);
-        const SimTime empty = q.nextEventTime();
-        q.schedule(500, [] {});
-        q.schedule(40, [] {});
-        EXPECT_EQ(q.nextEventTime(), 40);
-        q.runNext();
-        EXPECT_EQ(q.nextEventTime(), 500);
-        q.runNext();
-        EXPECT_EQ(q.nextEventTime(), empty);
-        EXPECT_GT(empty, 500); // the sentinel orders after any event
-    }
-}
+// --- differential against the reference queue, and calendar stress ---
 
 /**
- * Drive one backend through a deterministic pseudo-random op script
- * (bursty schedules, runNext/runUntil mixes, callback-side schedules
- * spanning bucket, epoch and overflow horizons) and record the exact
- * dispatch sequence by event id.
+ * Drive one queue through a deterministic pseudo-random op script
+ * (bursty schedules, short and long bounded runs, callback-side
+ * schedules spanning bucket, epoch and overflow horizons) and record
+ * the exact dispatch sequence by event id.
  */
+template <typename Queue>
 std::vector<int>
-runScript(EventQueue::Backend backend, int rounds)
+runScript(int rounds)
 {
-    EventQueue q(backend);
+    Queue q;
     std::vector<int> fired;
     int nextId = 0;
     unsigned long long x = 9876543210123ULL;
@@ -217,7 +231,7 @@ runScript(EventQueue::Backend backend, int rounds)
     for (int round = 0; round < rounds; ++round) {
         // A burst of schedules at wildly mixed horizons: same-time
         // collisions (FIFO ties), near-future (current bucket), far
-        // future (overflow ladder of the calendar backend).
+        // future (the calendar's overflow ladder).
         const int burst = 1 + static_cast<int>(rnd(24));
         for (int k = 0; k < burst; ++k) {
             SimTime at = q.now();
@@ -246,11 +260,11 @@ runScript(EventQueue::Backend backend, int rounds)
                 q.schedule(at, [&fired, id] { fired.push_back(id); });
             }
         }
-        // Mixed draining: single pops and bounded runs.
+        // Mixed draining: short hops that end inside a bucket, and
+        // longer bounded runs.
         switch (rnd(3)) {
         case 0:
-            q.runNext();
-            q.runNext();
+            q.runUntil(q.now() + static_cast<SimTime>(rnd(8)));
             break;
         case 1:
             q.runUntil(q.now() + static_cast<SimTime>(rnd(5000)));
@@ -264,17 +278,16 @@ runScript(EventQueue::Backend backend, int rounds)
     return fired;
 }
 
-// The tentpole determinism contract: the calendar queue dispatches the
-// exact (time, seq) sequence of the binary-heap oracle under a
-// randomized workload that exercises day-list inserts, bucket pulls,
-// epoch rebuilds and the overflow ladder.
+// The determinism contract: the calendar queue dispatches the exact
+// (time, seq) sequence of the reference queue under a randomized
+// workload that exercises day-list inserts, bucket pulls, epoch
+// rebuilds and the overflow ladder.
 TEST(EventQueue, RandomizedDifferentialCalendarVsHeap)
 {
-    const std::vector<int> calendar =
-        runScript(EventQueue::Backend::Calendar, 400);
-    const std::vector<int> heap = runScript(EventQueue::Backend::Heap, 400);
+    const std::vector<int> calendar = runScript<EventQueue>(400);
+    const std::vector<int> reference = runScript<ReferenceQueue>(400);
     ASSERT_GT(calendar.size(), 1000u);
-    EXPECT_EQ(calendar, heap);
+    EXPECT_EQ(calendar, reference);
 }
 
 // FIFO ties must hold when the tied events were scheduled from
@@ -285,33 +298,29 @@ TEST(EventQueue, RandomizedDifferentialCalendarVsHeap)
 // overflow redistribution rather than one contiguous append.
 TEST(EventQueue, FifoTieBreakAcrossBucketBoundaries)
 {
-    for (const auto backend : {EventQueue::Backend::Calendar,
-                               EventQueue::Backend::Heap}) {
-        EventQueue q(backend);
-        std::vector<int> fired;
-        const SimTime tied = 5000000; // far beyond the initial epoch
-        q.schedule(tied, [&] { fired.push_back(0); });
-        // Force queue activity (and epoch rebuilds on the calendar
-        // backend) between the tied schedules.
-        for (int i = 0; i < 64; ++i)
-            q.schedule(i * 1000, [] {});
-        q.schedule(tied, [&] { fired.push_back(1); });
-        q.runUntil(1500000); // drain filler only; clock far below tie
-        q.schedule(tied, [&] { fired.push_back(2); });
-        q.schedule(tied + 1, [&] { fired.push_back(3); });
-        q.schedule(tied - 1, [&] { fired.push_back(4); });
-        q.runUntil(tied + 10);
-        EXPECT_EQ(fired, (std::vector<int>{4, 0, 1, 2, 3})) <<
-            "backend " << static_cast<int>(backend);
-    }
+    EventQueue q;
+    std::vector<int> fired;
+    const SimTime tied = 5000000; // far beyond the initial epoch
+    q.schedule(tied, [&] { fired.push_back(0); });
+    // Force queue activity (and epoch rebuilds) between the tied
+    // schedules.
+    for (int i = 0; i < 64; ++i)
+        q.schedule(i * 1000, [] {});
+    q.schedule(tied, [&] { fired.push_back(1); });
+    q.runUntil(1500000); // drain filler only; clock far below tie
+    q.schedule(tied, [&] { fired.push_back(2); });
+    q.schedule(tied + 1, [&] { fired.push_back(3); });
+    q.schedule(tied - 1, [&] { fired.push_back(4); });
+    q.runUntil(tied + 10);
+    EXPECT_EQ(fired, (std::vector<int>{4, 0, 1, 2, 3}));
 }
 
 // Burst arrivals blow the pending population past the bucket grid; the
-// calendar backend must re-bucket (resizePending_ path) without
-// reordering or dropping anything.
+// calendar must re-bucket (resizePending_ path) without reordering or
+// dropping anything.
 TEST(EventQueue, BucketResizeUnderBurst)
 {
-    EventQueue q(EventQueue::Backend::Calendar);
+    EventQueue q;
     std::uint64_t sum = 0, expect = 0;
     SimTime last = -1;
     bool ordered = true;
