@@ -10,8 +10,10 @@
  *
  * The measured run is the canonical single simulation (the PR-1
  * baseline config: one cluster, one client, seed 2024), whose
- * event/request counts are bit-stable and pinned by
- * scripts/bench_smoke.py.
+ * event/cancelled/request counts are bit-stable and pinned by
+ * scripts/bench_smoke.py. Every scheduled event is either processed,
+ * cancelled before it ran (here, a superseded CPU completion), or still
+ * pending when the run stops.
  *
  * Results are written to build/bench_out/ by default so local runs
  * never clobber the checked-in reference; `--update-reference` appends
@@ -77,6 +79,8 @@ struct RunResult
 {
     double wallSec = 0.0;
     std::uint64_t events = 0;
+    std::uint64_t cancelled = 0;
+    std::uint64_t pending = 0;
     std::uint64_t requests = 0;
 
     double eventsPerSec() const { return events / wallSec; }
@@ -105,6 +109,8 @@ runOnce(const ursa::apps::AppSpec &app, ursa::sim::SimTime simSpan,
     RunResult r;
     r.wallSec = std::chrono::duration<double>(t1 - t0).count();
     r.events = cluster.events().processed();
+    r.cancelled = cluster.events().cancelled();
+    r.pending = cluster.events().pending();
     r.requests = client.submitted();
     return r;
 }
@@ -118,9 +124,12 @@ bestOf(const ursa::apps::AppSpec &app, ursa::sim::SimTime simSpan,
         const RunResult r = runOnce(app, simSpan, 2024);
         std::printf(
             "  rep %ld: %8.3f s wall, %10llu events (%.3fM ev/s), "
+            "%llu cancelled, %llu pending, "
             "%8llu requests (%.1fk req/s)\n",
             i, r.wallSec, static_cast<unsigned long long>(r.events),
             r.eventsPerSec() / 1e6,
+            static_cast<unsigned long long>(r.cancelled),
+            static_cast<unsigned long long>(r.pending),
             static_cast<unsigned long long>(r.requests),
             r.requestsPerSec() / 1e3);
         if (best.wallSec == 0.0 || r.eventsPerSec() > best.eventsPerSec())
@@ -174,6 +183,7 @@ entryJson(const RunResult &single, const std::string &label,
        << indent << "  \"commit\": \"" << gitCommit() << "\",\n"
        << indent << "  \"single\": {\n"
        << indent << "    \"events\": " << single.events << ",\n"
+       << indent << "    \"cancelled\": " << single.cancelled << ",\n"
        << indent << "    \"requests\": " << single.requests << ",\n"
        << indent << "    \"wall_sec\": " << single.wallSec << ",\n"
        << indent << "    \"events_per_sec\": " << single.eventsPerSec()
@@ -280,6 +290,7 @@ main(int argc, char **argv)
        << "  \"sim_minutes\": " << simMin << ",\n"
        << "  \"reps\": " << reps << ",\n"
        << "  \"events\": " << single.events << ",\n"
+       << "  \"cancelled\": " << single.cancelled << ",\n"
        << "  \"requests\": " << single.requests << ",\n"
        << "  \"wall_sec\": " << single.wallSec << ",\n"
        << "  \"events_per_sec\": " << single.eventsPerSec() << ",\n"

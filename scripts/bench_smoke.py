@@ -7,10 +7,10 @@ single-simulation run. This smoke pins the working tree against the
 LATEST trajectory entry:
 
   1. determinism  — a tracer-disabled run reproduces the exact single-
-                    simulation event and request counts of the latest
-                    entry (same app, seed, and simulated span). Counts
-                    are machine-independent, so this check is
-                    bit-exact.
+                    simulation event, cancelled-event and request
+                    counts of the latest entry (same app, seed, and
+                    simulated span). Counts are machine-independent,
+                    so this check is bit-exact.
   2. zero perturbation — a sampling=1.0 run executes the *same* events
                     as the disabled run (tracing observes, never
                     steers);
@@ -79,19 +79,19 @@ def main():
                        os.path.join(tmp, "on.json"))
 
     # 1. Bit-determinism against the latest recorded entry.
-    for key in ("events", "requests"):
-        if off[key] != single_ref[key]:
+    for key in ("events", "cancelled", "requests"):
+        if off.get(key) != single_ref.get(key):
             failures.append(
                 f"tracer-disabled run diverged from the latest entry of "
                 f"{args.reference} ({latest['label']!r}): single {key} "
-                f"{off[key]} != {single_ref[key]}")
+                f"{off.get(key)} != {single_ref.get(key)}")
 
     # 2. Tracing must not change what the simulation does.
-    for key in ("events", "requests"):
-        if on[key] != off[key]:
+    for key in ("events", "cancelled", "requests"):
+        if on.get(key) != off.get(key):
             failures.append(
                 f"sampling=1.0 perturbed the simulation: {key} "
-                f"{on[key]} != {off[key]}")
+                f"{on.get(key)} != {off.get(key)}")
 
     # 3. Full-rate tracing overhead bound (same-machine comparison).
     ratio = on["events_per_sec"] / off["events_per_sec"]
@@ -121,6 +121,7 @@ def main():
         return 1
     print(f"bench_smoke OK: counts match the latest trajectory entry of "
           f"{args.reference} (events={off['events']}, "
+          f"cancelled={off['cancelled']}, "
           f"requests={off['requests']}), tracing is "
           "zero-perturbation and within the overhead bound")
     return 0

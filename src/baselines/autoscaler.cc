@@ -35,15 +35,13 @@ Autoscaler::Autoscaler(sim::Cluster &cluster, AutoscalerConfig cfg)
 void
 Autoscaler::start(sim::SimTime at)
 {
-    running_ = true;
-    cluster_.events().schedule(at, [this] { tick(); });
+    stop();
+    next_ = cluster_.events().schedule(at, [this] { tick(); });
 }
 
 void
 Autoscaler::tick()
 {
-    if (!running_)
-        return;
     const sim::SimTime now = cluster_.events().now();
     const sim::SimTime from =
         std::max<sim::SimTime>(0, now - cfg_.lookback);
@@ -75,7 +73,7 @@ Autoscaler::tick()
             ++scaleEvents_;
         }
     }
-    cluster_.events().scheduleIn(cfg_.interval, [this] { tick(); });
+    next_ = cluster_.events().scheduleIn(cfg_.interval, [this] { tick(); });
 }
 
 } // namespace ursa::baselines

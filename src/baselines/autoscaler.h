@@ -11,6 +11,7 @@
 #define URSA_BASELINES_AUTOSCALER_H
 
 #include "sim/cluster.h"
+#include "sim/event_queue.h"
 #include "sim/time.h"
 #include "stats/online.h"
 
@@ -43,11 +44,14 @@ class Autoscaler
   public:
     Autoscaler(sim::Cluster &cluster, AutoscalerConfig cfg);
 
-    /** Begin periodic scaling at absolute time `at`. */
+    /** Stops scaling; the cluster must still be alive. */
+    ~Autoscaler() { stop(); }
+
+    /** Begin periodic scaling at absolute time `at` (restarts). */
     void start(sim::SimTime at);
 
     /** Stop scaling. */
-    void stop() { running_ = false; }
+    void stop() { cluster_.events().cancel(next_); }
 
     /** Wall-clock decision latency (Table VI). */
     const stats::OnlineStats &decisionLatencyUs() const
@@ -63,7 +67,7 @@ class Autoscaler
 
     sim::Cluster &cluster_;
     AutoscalerConfig cfg_;
-    bool running_ = false;
+    sim::EventId next_; ///< the next tick's event
     stats::OnlineStats decisionLatency_;
     int scaleEvents_ = 0;
 };

@@ -29,30 +29,24 @@ microsSince(std::chrono::steady_clock::time_point start)
 
 FirmController::FirmController(sim::Cluster &cluster,
                                const spec::AppSpec &app, FirmConfig cfg)
-    : cluster_(&cluster), app_(app), cfg_(cfg), rng_(cfg.seed ^ 0xf1b3)
+    : cluster_(cluster), app_(app), cfg_(cfg), rng_(cfg.seed ^ 0xf1b3)
 {
     cfg_.agent.numActions = static_cast<int>(cfg_.actions.size());
-    for (sim::ServiceId s = 0; s < cluster_->numServices(); ++s) {
+    for (sim::ServiceId s = 0; s < cluster_.numServices(); ++s) {
         agents_.push_back(std::make_unique<ml::QAgent>(
             cfg_.agent, cfg_.seed + 17ULL * (s + 1)));
     }
 }
 
-void
-FirmController::attach(sim::Cluster &cluster)
-{
-    cluster_ = &cluster;
-}
-
 FirmController::ClassLatencies
 FirmController::classLatencies() const
 {
-    const sim::SimTime now = cluster_->events().now();
+    const sim::SimTime now = cluster_.events().now();
     const sim::SimTime from =
         std::max<sim::SimTime>(0, now - 2 * cfg_.interval);
-    ClassLatencies latency(cluster_->numClasses());
-    for (int c = 0; c < cluster_->numClasses(); ++c) {
-        const auto e2e = cluster_->metrics().endToEnd(c).collect(from, now);
+    ClassLatencies latency(cluster_.numClasses());
+    for (int c = 0; c < cluster_.numClasses(); ++c) {
+        const auto e2e = cluster_.metrics().endToEnd(c).collect(from, now);
         if (!e2e.empty())
             latency[c] = e2e.percentile(app_.classes[c].sla.percentile);
     }
@@ -63,16 +57,16 @@ std::vector<double>
 FirmController::serviceState(sim::ServiceId s,
                              const ClassLatencies &latency) const
 {
-    const sim::SimTime now = cluster_->events().now();
+    const sim::SimTime now = cluster_.events().now();
     const sim::SimTime from =
         std::max<sim::SimTime>(0, now - 2 * cfg_.interval);
-    const auto &m = cluster_->metrics();
+    const auto &m = cluster_.metrics();
 
     const double util = m.cpuUtilization(s, from, now);
     // Worst latency pressure among classes passing through s.
     double pressure = 0.0;
     double load = 0.0;
-    for (int c = 0; c < cluster_->numClasses(); ++c) {
+    for (int c = 0; c < cluster_.numClasses(); ++c) {
         load += m.arrivalRate(s, c, from, now);
         if (!latency[c])
             continue;
@@ -81,7 +75,7 @@ FirmController::serviceState(sim::ServiceId s,
             *latency[c] / static_cast<double>(app_.classes[c].sla.targetUs));
     }
     const double replicas =
-        static_cast<double>(cluster_->service(s).activeReplicas()) /
+        static_cast<double>(cluster_.service(s).activeReplicas()) /
         static_cast<double>(cfg_.maxReplicas);
     return {util, std::min(pressure, 5.0) / 5.0,
             load / std::max(1.0, app_.nominalRps), replicas};
@@ -90,15 +84,15 @@ FirmController::serviceState(sim::ServiceId s,
 double
 FirmController::reward() const
 {
-    const sim::SimTime now = cluster_->events().now();
+    const sim::SimTime now = cluster_.events().now();
     const sim::SimTime from =
         std::max<sim::SimTime>(0, now - cfg_.interval);
-    const auto &m = cluster_->metrics();
+    const auto &m = cluster_.metrics();
 
     // Resource term: CPU saved relative to a nominal full allocation.
     double alloc = 0.0, maxAlloc = 0.0;
     for (std::size_t s = 0; s < app_.services.size(); ++s) {
-        alloc += cluster_->service(static_cast<sim::ServiceId>(s))
+        alloc += cluster_.service(static_cast<sim::ServiceId>(s))
                      .cpuAllocation();
         maxAlloc += cfg_.maxReplicas * app_.services[s].cpuPerReplica;
     }
@@ -113,7 +107,7 @@ FirmController::reward() const
 int
 FirmController::applyAction(sim::ServiceId s, int actionIdx)
 {
-    sim::Service &svc = cluster_->service(s);
+    sim::Service &svc = cluster_.service(s);
     const int next = std::clamp(
         svc.activeReplicas() + cfg_.actions[actionIdx], 1,
         cfg_.maxReplicas);
@@ -134,8 +128,8 @@ FirmController::trainOnline(int steps)
         sim::ServiceId throttled = -1;
         if (rng_.uniform() < cfg_.anomalyProbability) {
             throttled = static_cast<sim::ServiceId>(
-                rng_.uniformInt(cluster_->numServices()));
-            cluster_->service(throttled).setCpuFactor(cfg_.anomalyFactor);
+                rng_.uniformInt(cluster_.numServices()));
+            cluster_.service(throttled).setCpuFactor(cfg_.anomalyFactor);
         }
 
         const ClassLatencies before = classLatencies();
@@ -146,7 +140,7 @@ FirmController::trainOnline(int steps)
             applyAction(static_cast<sim::ServiceId>(s), prevAction[s]);
         }
 
-        cluster_->run(cluster_->events().now() + cfg_.interval);
+        cluster_.run(cluster_.events().now() + cfg_.interval);
         const double r = reward();
         const ClassLatencies after = classLatencies();
 
@@ -161,22 +155,20 @@ FirmController::trainOnline(int steps)
         ++trainingSteps_;
 
         if (throttled >= 0)
-            cluster_->service(throttled).setCpuFactor(1.0);
+            cluster_.service(throttled).setCpuFactor(1.0);
     }
 }
 
 void
 FirmController::start(sim::SimTime at)
 {
-    running_ = true;
-    cluster_->events().schedule(at, [this] { deployTick(); });
+    stop();
+    next_ = cluster_.events().schedule(at, [this] { deployTick(); });
 }
 
 void
 FirmController::deployTick()
 {
-    if (!running_)
-        return;
     // Firm localizes SLA violations to critical-path services (the
     // original uses an SVM over per-tier telemetry) and lets their
     // agents mitigate. Our stand-in: for every class currently
@@ -186,13 +178,13 @@ FirmController::deployTick()
     // localization over it — is timed once and charged in equal shares
     // to the agents' decision latencies.
     const auto roundStart = std::chrono::steady_clock::now();
-    const sim::SimTime now = cluster_->events().now();
+    const sim::SimTime now = cluster_.events().now();
     const sim::SimTime from =
         std::max<sim::SimTime>(0, now - 2 * cfg_.interval);
     const ClassLatencies latency = classLatencies();
     std::vector<bool> onViolatingPath(agents_.size(), false);
     std::vector<bool> forceUp(agents_.size(), false);
-    for (int c = 0; c < cluster_->numClasses(); ++c) {
+    for (int c = 0; c < cluster_.numClasses(); ++c) {
         if (!latency[c] ||
             *latency[c] <= static_cast<double>(app_.classes[c].sla.targetUs))
             continue;
@@ -202,7 +194,7 @@ FirmController::deployTick()
             if (!app_.services[s].behaviors.count(c))
                 continue;
             onViolatingPath[s] = true;
-            const double util = cluster_->metrics().cpuUtilization(
+            const double util = cluster_.metrics().cpuUtilization(
                 static_cast<sim::ServiceId>(s), from, now);
             if (util > worstUtil) {
                 worstUtil = util;
@@ -232,7 +224,8 @@ FirmController::deployTick()
         decisionLatency_.add(sharedUs + microsSince(wallStart));
         applyAction(static_cast<sim::ServiceId>(s), action);
     }
-    cluster_->events().scheduleIn(cfg_.interval, [this] { deployTick(); });
+    next_ =
+        cluster_.events().scheduleIn(cfg_.interval, [this] { deployTick(); });
 }
 
 } // namespace ursa::baselines

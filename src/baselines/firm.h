@@ -18,6 +18,7 @@
 #include "spec/app_spec.h"
 #include "ml/rl.h"
 #include "sim/cluster.h"
+#include "sim/event_queue.h"
 #include "sim/time.h"
 #include "sim/types.h"
 #include "stats/online.h"
@@ -62,6 +63,9 @@ class FirmController
     FirmController(sim::Cluster &cluster, const spec::AppSpec &app,
                    FirmConfig cfg);
 
+    /** Stops deciding; the cluster must still be alive. */
+    ~FirmController() { stop(); }
+
     /**
      * Online training: `steps` decision intervals with epsilon-greedy
      * exploration, random anomaly injection, and a training update per
@@ -69,18 +73,11 @@ class FirmController
      */
     void trainOnline(int steps);
 
-    /**
-     * Rebind the controller (and its trained agents) to another
-     * cluster running the same application — e.g. train on a staging
-     * cluster, deploy on production.
-     */
-    void attach(sim::Cluster &cluster);
-
-    /** Begin greedy (deployed) decisions at absolute time `at`. */
+    /** Begin greedy (deployed) decisions at time `at` (restarts). */
     void start(sim::SimTime at);
 
     /** Stop deciding. */
-    void stop() { running_ = false; }
+    void stop() { cluster_.events().cancel(next_); }
 
     /** Wall-clock decision latency across agents (Table VI). */
     const stats::OnlineStats &decisionLatencyUs() const
@@ -112,12 +109,12 @@ class FirmController
     int applyAction(sim::ServiceId s, int actionIdx);
     void deployTick();
 
-    sim::Cluster *cluster_;
+    sim::Cluster &cluster_;
     const spec::AppSpec &app_;
     FirmConfig cfg_;
     std::vector<std::unique_ptr<ml::QAgent>> agents_;
     stats::Rng rng_;
-    bool running_ = false;
+    sim::EventId next_; ///< the next deployed tick's event
     int trainingSteps_ = 0;
     stats::OnlineStats decisionLatency_;
     stats::OnlineStats trainLatency_;

@@ -177,8 +177,8 @@ SinanScheduler::SinanScheduler(sim::Cluster &cluster,
 void
 SinanScheduler::start(sim::SimTime at)
 {
-    running_ = true;
-    cluster_.events().schedule(at, [this] { tick(); });
+    stop();
+    next_ = cluster_.events().schedule(at, [this] { tick(); });
 }
 
 std::vector<double>
@@ -200,8 +200,6 @@ SinanScheduler::measuredClassLoads() const
 void
 SinanScheduler::tick()
 {
-    if (!running_)
-        return;
     const auto wallStart = std::chrono::steady_clock::now();
 
     const std::vector<double> loads = measuredClassLoads();
@@ -241,8 +239,8 @@ SinanScheduler::tick()
                 std::chrono::duration<double, std::micro>(
                     std::chrono::steady_clock::now() - wallStart)
                     .count());
-            cluster_.events().scheduleIn(cfg_.interval,
-                                         [this] { tick(); });
+            next_ = cluster_.events().scheduleIn(cfg_.interval,
+                                                 [this] { tick(); });
             return;
         }
     }
@@ -313,7 +311,7 @@ SinanScheduler::tick()
             cluster_.service(static_cast<sim::ServiceId>(s))
                 .setReplicas(chosen[s]);
     }
-    cluster_.events().scheduleIn(cfg_.interval, [this] { tick(); });
+    next_ = cluster_.events().scheduleIn(cfg_.interval, [this] { tick(); });
 }
 
 } // namespace ursa::baselines

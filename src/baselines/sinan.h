@@ -24,6 +24,7 @@
 #include "ml/gbdt.h"
 #include "ml/mlp.h"
 #include "sim/cluster.h"
+#include "sim/event_queue.h"
 #include "sim/time.h"
 #include "stats/online.h"
 #include "stats/rng.h"
@@ -136,11 +137,14 @@ class SinanScheduler
     SinanScheduler(sim::Cluster &cluster, const spec::AppSpec &app,
                    const SinanModel &model, SinanConfig cfg);
 
-    /** Begin periodic decisions at absolute time `at`. */
+    /** Stops deciding; the cluster must still be alive. */
+    ~SinanScheduler() { stop(); }
+
+    /** Begin periodic decisions at absolute time `at` (restarts). */
     void start(sim::SimTime at);
 
     /** Stop deciding. */
-    void stop() { running_ = false; }
+    void stop() { cluster_.events().cancel(next_); }
 
     /** Wall-clock decision latency (Table VI, deployment path). */
     const stats::OnlineStats &decisionLatencyUs() const
@@ -156,7 +160,7 @@ class SinanScheduler
     const spec::AppSpec &app_;
     const SinanModel &model_;
     SinanConfig cfg_;
-    bool running_ = false;
+    sim::EventId next_; ///< the next tick's event
     stats::OnlineStats decisionLatency_;
 };
 

@@ -61,15 +61,12 @@ UrsaManager::deploy(double expectedRps, const std::vector<double> &mix)
         return false;
     installPlan(plan);
 
-    running_ = true;
-    if (!ticksScheduled_) {
-        ticksScheduled_ = true;
-        cluster_.events().scheduleIn(opts_.controlInterval,
-                                     [this] { controlTick(); });
-        if (opts_.anomalyInterval > 0) {
-            cluster_.events().scheduleIn(opts_.anomalyInterval,
-                                         [this] { anomalyTick(); });
-        }
+    stop();
+    controlTick_ = cluster_.events().scheduleIn(opts_.controlInterval,
+                                                [this] { controlTick(); });
+    if (opts_.anomalyInterval > 0) {
+        anomalyTick_ = cluster_.events().scheduleIn(
+            opts_.anomalyInterval, [this] { anomalyTick(); });
     }
     return true;
 }
@@ -142,8 +139,6 @@ UrsaManager::updateProfile(AppProfile profile)
 void
 UrsaManager::controlTick()
 {
-    if (!running_)
-        return;
     for (std::size_t s = 0; s < controllers_.size(); ++s) {
         if (plan_.level.size() > s && plan_.level[s] >= 0)
             controllers_[s]->tick();
@@ -160,15 +155,13 @@ UrsaManager::controlTick()
                 windows[0]->samples.percentile(slas_[c].percentile));
         }
     }
-    cluster_.events().scheduleIn(opts_.controlInterval,
-                                 [this] { controlTick(); });
+    controlTick_ = cluster_.events().scheduleIn(opts_.controlInterval,
+                                                [this] { controlTick(); });
 }
 
 void
 UrsaManager::anomalyTick()
 {
-    if (!running_)
-        return;
     const AnomalyReport report =
         detector_.check(cluster_, thresholds_, cluster_.events().now(),
                         deviationPersists_);
@@ -186,8 +179,8 @@ UrsaManager::anomalyTick()
             onReexplore(report.services);
         break;
     }
-    cluster_.events().scheduleIn(opts_.anomalyInterval,
-                                 [this] { anomalyTick(); });
+    anomalyTick_ = cluster_.events().scheduleIn(opts_.anomalyInterval,
+                                                [this] { anomalyTick(); });
 }
 
 stats::OnlineStats

@@ -16,6 +16,7 @@
 #include "core/profile.h"
 #include "core/resource_controller.h"
 #include "sim/cluster.h"
+#include "sim/event_queue.h"
 #include "sim/time.h"
 #include "sim/types.h"
 #include "stats/online.h"
@@ -51,17 +52,25 @@ class UrsaManager
     UrsaManager(sim::Cluster &cluster, const spec::AppSpec &app,
                 AppProfile profile, UrsaManagerOptions opts = {});
 
+    /** Stops ticking; the cluster must still be alive. */
+    ~UrsaManager() { stop(); }
+
     /**
      * Initial deployment: solve the model for the given expected
      * per-class application request mix (total rps + weights), size
-     * every service accordingly, and schedule the periodic control
-     * loop starting at the current simulation time.
+     * every service accordingly, and (re)start the periodic control
+     * loop from the current simulation time.
      * @return false if the model is infeasible (nothing scheduled).
      */
     bool deploy(double expectedRps, const std::vector<double> &mix);
 
     /** Stop ticking (in-flight work completes). */
-    void stop() { running_ = false; }
+    void
+    stop()
+    {
+        cluster_.events().cancel(controlTick_);
+        cluster_.events().cancel(anomalyTick_);
+    }
 
     /** Current optimization plan. */
     const ModelOutput &plan() const { return plan_; }
@@ -132,8 +141,8 @@ class UrsaManager
     std::unique_ptr<LatencyEstimator> estimator_;
     AnomalyDetector detector_;
     stats::OnlineStats updateLatency_;
-    bool running_ = false;
-    bool ticksScheduled_ = false;
+    sim::EventId controlTick_; ///< the next control tick's event
+    sim::EventId anomalyTick_; ///< the next anomaly check's event
     bool deviationPersists_ = false;
     int recalcs_ = 0;
 };

@@ -29,27 +29,24 @@ OpenLoopClient::OpenLoopClient(Cluster &cluster, RateProfile rate,
 void
 OpenLoopClient::start(SimTime at)
 {
-    running_ = true;
-    cluster_.events().schedule(at, [this] { scheduleNext(); });
+    stop();
+    next_ = cluster_.events().schedule(at, [this] { scheduleNext(); });
 }
 
 void
 OpenLoopClient::scheduleNext()
 {
-    if (!running_)
-        return;
     const SimTime now = cluster_.events().now();
     const double rps = rate_(now);
     if (rps <= 0.0) {
         // Idle period: re-check the profile shortly.
-        cluster_.events().scheduleIn(kSec, [this] { scheduleNext(); });
+        next_ =
+            cluster_.events().scheduleIn(kSec, [this] { scheduleNext(); });
         return;
     }
     const double gapUs = rng_.exponential(1e6 / rps);
-    cluster_.events().scheduleIn(
+    next_ = cluster_.events().scheduleIn(
         static_cast<SimTime>(gapUs) + 1, [this] {
-            if (!running_)
-                return;
             const ClassId c = picker_(rng_, cluster_.events().now());
             cluster_.submit(c);
             ++submitted_;

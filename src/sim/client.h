@@ -15,6 +15,7 @@
 #define URSA_SIM_CLIENT_H
 
 #include "sim/cluster.h"
+#include "sim/event_queue.h"
 #include "sim/time.h"
 #include "sim/types.h"
 #include "stats/rng.h"
@@ -50,11 +51,17 @@ class OpenLoopClient
     OpenLoopClient(Cluster &cluster, RateProfile rate, ClassPicker picker,
                    std::uint64_t seed);
 
-    /** Begin generating load at absolute time `at`. */
+    /** Stops the client; the cluster must still be alive. */
+    ~OpenLoopClient() { stop(); }
+
+    /**
+     * Begin generating load at absolute time `at`, replacing any
+     * arrival chain already running.
+     */
     void start(SimTime at = 0);
 
     /** Stop generating load (in-flight requests still complete). */
-    void stop() { running_ = false; }
+    void stop() { cluster_.events().cancel(next_); }
 
     /** Requests submitted so far. */
     std::uint64_t submitted() const { return submitted_; }
@@ -66,7 +73,7 @@ class OpenLoopClient
     RateProfile rate_;
     ClassPicker picker_;
     stats::Rng rng_;
-    bool running_ = false;
+    EventId next_; ///< the next arrival (or profile re-check) event
     std::uint64_t submitted_ = 0;
 };
 
@@ -103,6 +110,8 @@ class ClosedLoopClient
     SimTime thinkMeanUs_;
     ClassPicker picker_;
     stats::Rng rng_;
+    /// A flag, not a cancelled event: each user's next step hangs on
+    /// its in-flight request's continuation, not in the event queue.
     bool running_ = false;
     std::uint64_t submitted_ = 0;
 };

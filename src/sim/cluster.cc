@@ -144,12 +144,6 @@ Cluster::serviceId(const std::string &name) const
     return it->second;
 }
 
-const RequestClassSpec &
-Cluster::classSpec(ClassId c) const
-{
-    return classes_.at(c);
-}
-
 ClassId
 Cluster::classId(const std::string &name) const
 {
@@ -159,12 +153,6 @@ Cluster::classId(const std::string &name) const
     return it->second;
 }
 
-const std::vector<ServiceId> &
-Cluster::resolvedTargets(ServiceId s, ClassId c) const
-{
-    return resolved_.at(s).at(c);
-}
-
 RequestPtr
 Cluster::submit(ClassId c)
 {
@@ -172,7 +160,7 @@ Cluster::submit(ClassId c)
         throw std::logic_error("submit before finalize");
     const RequestClassSpec &spec = classes_.at(c);
     ++submitted_;
-    RequestPtr req = makeRef<Request>(*pool_);
+    RequestPtr req = makeRef<Request>(pool_);
     req->id = nextRequestId_++;
     req->classId = c;
     req->priority = spec.priority;
@@ -210,7 +198,7 @@ Cluster::makeInvocation(ServiceId target, const RequestPtr &req,
                                " has no behavior for class " +
                                classes_.at(req->classId).name);
     }
-    InvocationPtr inv = makeRef<Invocation>(*pool_);
+    InvocationPtr inv = makeRef<Invocation>(pool_);
     inv->req = req;
     inv->serviceId = target;
     inv->behavior = behavior;
@@ -233,7 +221,7 @@ Cluster::invoke(ServiceId target, const RequestPtr &req,
         // Latency-bearing local edge: deliver after the channel delay
         // (arrival stamped at delivery), and delay the response resume
         // by the same amount on the way back.
-        RefPtr<NetHop> rec = makeRef<NetHop>(*pool_);
+        RefPtr<NetHop> rec = makeRef<NetHop>(pool_);
         rec->req = req;
         rec->cont = std::move(onSyncDone);
         rec->target = target;
@@ -268,7 +256,7 @@ Cluster::publishTo(ServiceId target, const RequestPtr &req,
                    trace::SpanId parentSpan, SimTime netDelayUs)
 {
     if (netDelayUs > 0) {
-        RefPtr<NetHop> rec = makeRef<NetHop>(*pool_);
+        RefPtr<NetHop> rec = makeRef<NetHop>(pool_);
         rec->req = req;
         rec->target = target;
         rec->parentSpan = parentSpan;
@@ -373,15 +361,6 @@ Cluster::auditConservation(bool expectQuiescent) const
         URSA_CHECK(svc->rpcQueueDepth() == 0, "sim.cluster",
                    "RPC queue non-empty at drain");
     }
-}
-
-double
-Cluster::totalCpuAllocation() const
-{
-    double total = 0.0;
-    for (const auto &s : services_)
-        total += s->cpuAllocation();
-    return total;
 }
 
 } // namespace ursa::sim

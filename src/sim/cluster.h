@@ -69,13 +69,8 @@ class Cluster
     ServiceId serviceId(const std::string &name) const;
     int numServices() const { return static_cast<int>(services_.size()); }
 
-    const RequestClassSpec &classSpec(ClassId c) const;
     ClassId classId(const std::string &name) const;
     int numClasses() const { return static_cast<int>(classes_.size()); }
-
-    /** Resolved downstream targets for (service, class). */
-    const std::vector<ServiceId> &resolvedTargets(ServiceId s,
-                                                  ClassId c) const;
 
     // --- operation ---------------------------------------------------
 
@@ -136,9 +131,6 @@ class Cluster
     trace::Tracer &tracer() { return tracer_; }
     const trace::Tracer &tracer() const { return tracer_; }
 
-    /** Total CPU cores currently allocated across all services. */
-    double totalCpuAllocation() const;
-
     // --- request-conservation accounting -------------------------------
 
     /** Requests injected via submit() so far. */
@@ -188,7 +180,9 @@ class Cluster
     /// Declared before the event queue (and every other member that
     /// can hold a RefPtr) so pending callbacks release their pooled
     /// objects into a still-live arena during destruction.
-    std::shared_ptr<PoolArena> pool_ = std::make_shared<PoolArena>();
+    PoolArena pool_;
+    /// Declared before services_, so the queue outlives every replica
+    /// and each can cancel its pending event on destruction.
     EventQueue events_;
     stats::Rng rng_;
     MetricsRegistry metrics_;

@@ -29,7 +29,7 @@ EventQueue::EventQueue() : buckets_(kMinBuckets)
     epochEnd_ = static_cast<SimTime>(buckets_.size()) << widthShift_;
 }
 
-void
+EventId
 EventQueue::schedule(SimTime at, Callback fn)
 {
     // Past scheduling stays a throwing contract (callers and tests
@@ -51,7 +51,8 @@ EventQueue::schedule(SimTime at, Callback fn)
         cursor_ = 0;
         overflow_.clear();
     }
-    calendarInsert(Key{at, seq_++, storeSlot(std::move(fn))});
+    const EventId id{at, seq_++};
+    calendarInsert(Key{id.at, id.seq, storeSlot(std::move(fn))});
     ++count_;
     // A burst outgrew the grid: rebuild (recalibrating width and bucket
     // count) the next time the drain loop is between days.
@@ -60,14 +61,66 @@ EventQueue::schedule(SimTime at, Callback fn)
 #if URSA_CHECK_LEVEL >= 2
     maybeAuditStructure();
 #endif
+    return id;
 }
 
-void
+EventId
 EventQueue::scheduleIn(SimTime delay, Callback fn)
 {
     if (delay < 0)
         throw std::logic_error("negative event delay");
-    schedule(now_ + delay, std::move(fn));
+    return schedule(now_ + delay, std::move(fn));
+}
+
+bool
+EventQueue::cancel(EventId id)
+{
+    // The id's time says where its key would sit, exactly as
+    // calendarInsert placed it; a key that is not there already ran or
+    // was cancelled.
+    std::uint32_t slot;
+    if (id.at < frontier_) {
+        // Only the day list from dayPos_ on is pending: the prefix
+        // before it already ran.
+        const auto it = std::lower_bound(
+            day_.begin() + static_cast<std::ptrdiff_t>(dayPos_), day_.end(),
+            Key{id.at, id.seq, 0}, keyEarlier);
+        if (it == day_.end() || it->at != id.at || it->seq != id.seq)
+            return false;
+        slot = it->slot;
+        day_.erase(it);
+    } else {
+        std::vector<Key> &keys =
+            id.at < epochEnd_
+                ? buckets_[static_cast<std::size_t>((id.at - epochStart_) >>
+                                                    widthShift_)]
+                : overflow_;
+        const auto it = std::find_if(keys.begin(), keys.end(),
+                                     [&](const Key &k) {
+                                         return k.seq == id.seq;
+                                     });
+        if (it == keys.end())
+            return false;
+        slot = it->slot;
+        // Buckets and the ladder are unordered until pulled.
+        *it = keys.back();
+        keys.pop_back();
+        if (&keys == &overflow_ && !overflow_.empty() &&
+            id.at == minOverflow_)
+            minOverflow_ = std::min_element(overflow_.begin(),
+                                            overflow_.end(), keyEarlier)
+                               ->at;
+    }
+    --count_;
+    ++cancelled_;
+    // Destroy the callback only once the queue is consistent again: its
+    // captures' destructors may schedule or cancel.
+    Callback fn = std::move(slots_[slot]);
+    freeSlots_.push_back(slot);
+#if URSA_CHECK_LEVEL >= 2
+    maybeAuditStructure();
+#endif
+    return true;
 }
 
 void

@@ -17,6 +17,13 @@
  * Dispatch is batched: all events of one timestamp drain as a band —
  * the clock advances once and the clock audit runs per batch instead
  * of per event.
+ *
+ * A scheduled callback can be retracted by the EventId schedule()
+ * returned. Every owner of a recurring or superseded event (a
+ * replica's CPU completion, a client's next arrival, a controller's
+ * next tick) holds the id of its one pending event and cancels it
+ * before rescheduling and when it stops or dies, so no queued event
+ * outlives its owner.
  */
 
 #ifndef URSA_SIM_EVENT_QUEUE_H
@@ -31,6 +38,18 @@
 
 namespace ursa::sim
 {
+
+/**
+ * Handle of one scheduled callback: its exact place in the (time, seq)
+ * order. A default-constructed id names no event.
+ */
+struct EventId
+{
+    SimTime at = -1;
+    std::uint64_t seq = 0;
+
+    explicit operator bool() const { return at >= 0; }
+};
 
 /** Deterministic discrete-event queue. */
 class EventQueue
@@ -48,10 +67,18 @@ class EventQueue
      * Schedule `fn` to run at absolute time `at`; `at` must not be in
      * the past. Events at equal times fire in scheduling order.
      */
-    void schedule(SimTime at, Callback fn);
+    EventId schedule(SimTime at, Callback fn);
 
     /** Schedule `fn` to run `delay` microseconds from now (>= 0). */
-    void scheduleIn(SimTime delay, Callback fn);
+    EventId scheduleIn(SimTime delay, Callback fn);
+
+    /**
+     * Retract a scheduled callback: it is destroyed without being
+     * called and never counts as processed. Returns false, changing
+     * nothing, when `id` already ran, was already cancelled or is
+     * default-constructed.
+     */
+    bool cancel(EventId id);
 
     /**
      * Run every event with time <= `until`, then set the clock to
@@ -64,6 +91,9 @@ class EventQueue
 
     /** Total events executed so far. */
     std::uint64_t processed() const { return processed_; }
+
+    /** Total events cancelled before they ran. */
+    std::uint64_t cancelled() const { return cancelled_; }
 
 #if URSA_CHECK_LEVEL >= 1
     /**
@@ -137,6 +167,7 @@ class EventQueue
     SimTime now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t processed_ = 0;
+    std::uint64_t cancelled_ = 0;
 
 #if URSA_CHECK_LEVEL >= 1
     /// (time, seq) of the last dispatched event, for the level-1

@@ -32,8 +32,7 @@ MetricsRegistry::addService(const std::string &name)
 void
 MetricsRegistry::addClass(const std::string &name, const SlaSpec &sla)
 {
-    classes_.push_back(
-        {name, sla, stats::WindowAggregator(window_), 0, 0, {}});
+    classes_.push_back({name, sla, stats::WindowAggregator(window_)});
     growClassVectors();
 }
 
@@ -80,19 +79,10 @@ MetricsRegistry::applyPending()
                 .tierLat.at(rec.classId)
                 .add(rec.at, static_cast<double>(rec.lat));
             break;
-        case PendingRec::Kind::EndToEnd: {
-            PerClass &pc = classes_.at(rec.classId);
-            pc.e2e.add(rec.at, static_cast<double>(rec.lat));
-            ++pc.completed;
-            const SimTime wstart = (rec.at / window_) * window_;
-            auto &[done, bad] = pc.byWindow[wstart];
-            ++done;
-            if (rec.lat > pc.sla.targetUs) {
-                ++pc.violated;
-                ++bad;
-            }
+        case PendingRec::Kind::EndToEnd:
+            classes_.at(rec.classId)
+                .e2e.add(rec.at, static_cast<double>(rec.lat));
             break;
-        }
         case PendingRec::Kind::Arrival:
             services_.at(rec.service)
                 .arrivals.at(rec.classId)
@@ -197,12 +187,6 @@ MetricsRegistry::meanAllocation(ServiceId s, SimTime from, SimTime to) const
 }
 
 const stats::TimeSeries &
-MetricsRegistry::allocationSeries(ServiceId s) const
-{
-    return services_.at(s).allocation;
-}
-
-const stats::TimeSeries &
 MetricsRegistry::replicaSeries(ServiceId s) const
 {
     return services_.at(s).replicas;
@@ -262,26 +246,6 @@ MetricsRegistry::overallSlaViolationRate(SimTime from, SimTime to) const
         bad += b;
     }
     return total > 0.0 ? bad / total : 0.0;
-}
-
-double
-MetricsRegistry::requestViolationRate(ClassId c, SimTime from,
-                                      SimTime to) const
-{
-    // Edge windows are included in full here on purpose: this is a
-    // ratio of request counts with no division by the range's span, so
-    // the pro-rata clipping that arrivalRate and windowViolations need
-    // would only distort which requests are counted.
-    flushPending();
-    const PerClass &pc = classes_.at(c);
-    std::uint64_t done = 0, bad = 0;
-    for (const auto &[wstart, counts] : pc.byWindow) {
-        if (wstart + window_ <= from || wstart >= to)
-            continue;
-        done += counts.first;
-        bad += counts.second;
-    }
-    return done ? static_cast<double>(bad) / static_cast<double>(done) : 0.0;
 }
 
 const std::string &

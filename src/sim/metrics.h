@@ -15,7 +15,6 @@
 #include "sim/types.h"
 #include "stats/timeseries.h"
 
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -28,14 +27,14 @@ namespace ursa::sim
  *
  * The per-event recording calls (tier latency, end-to-end, arrival —
  * several per simulated request) are the hot path: each lands in a
- * windowed aggregator behind two bounds-checked lookups plus, for
- * end-to-end records, a per-window map probe. To keep the dispatch
- * loop lean they are staged into a small POD buffer and applied in
- * order at batch boundaries: when the buffer fills, at every busy-
- * sample tick, and lazily before any query reads an aggregate. The
- * flush preserves recording order exactly, so every aggregate (and
- * every reservoir-sampling RNG draw) is bit-identical to unbatched
- * recording — batching moves work, it never changes results.
+ * windowed aggregator behind two bounds-checked lookups. To keep the
+ * dispatch loop lean they are staged into a small POD buffer and
+ * applied in order at batch boundaries: when the buffer fills, at
+ * every busy-sample tick, and lazily before any query reads an
+ * aggregate. The flush preserves recording order exactly, so every
+ * aggregate (and every reservoir-sampling RNG draw) is bit-identical
+ * to unbatched recording — batching moves work, it never changes
+ * results.
  */
 class MetricsRegistry
 {
@@ -96,9 +95,6 @@ class MetricsRegistry
     /** Time-averaged allocated cores of `s` over [from, to). */
     double meanAllocation(ServiceId s, SimTime from, SimTime to) const;
 
-    /** Allocation time series (for Fig.-13-style plots). */
-    const stats::TimeSeries &allocationSeries(ServiceId s) const;
-
     /** Replica-count time series. */
     const stats::TimeSeries &replicaSeries(ServiceId s) const;
 
@@ -115,13 +111,6 @@ class MetricsRegistry
      * [from, to): violating (class, window) pairs / all pairs.
      */
     double overallSlaViolationRate(SimTime from, SimTime to) const;
-
-    /**
-     * Fraction of individual class-`c` requests in [from, to) whose
-     * latency exceeded the SLA target (secondary diagnostic; only
-     * meaningful for high-percentile SLAs).
-     */
-    double requestViolationRate(ClassId c, SimTime from, SimTime to) const;
 
     /** Number of registered services / classes. */
     int numServices() const { return static_cast<int>(services_.size()); }
@@ -140,10 +129,6 @@ class MetricsRegistry
         std::string name;
         SlaSpec sla;
         stats::WindowAggregator e2e;
-        std::uint64_t completed = 0;
-        std::uint64_t violated = 0;
-        /// per-window (start -> [completed, violated])
-        std::map<SimTime, std::pair<std::uint64_t, std::uint64_t>> byWindow;
     };
     struct PerService
     {

@@ -14,10 +14,6 @@
  * RefPtr-managed objects must not outlive the Cluster whose arena they
  * came from. Tests that hold a RequestPtr across a run keep the
  * Cluster alive, which every existing caller already does.
- *
- * `PoolAllocator` (std allocator over the arena) remains for code that
- * wants pooled nodes for its own types via std containers or
- * allocate_shared.
  */
 
 #ifndef URSA_SIM_POOL_H
@@ -28,7 +24,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
 #include <utility>
 #include <vector>
@@ -297,13 +292,6 @@ class RefPtr
         return ptr_ != other.ptr_;
     }
 
-    /** Current reference count (0 for an empty pointer). */
-    std::uint32_t
-    useCount() const
-    {
-        return ptr_ != nullptr ? ptr_->poolRef.refs : 0;
-    }
-
   private:
     void
     release() noexcept
@@ -341,49 +329,6 @@ makeRef(PoolArena &arena, Args &&...args)
 #endif
     return RefPtr<T>::adopt(obj);
 }
-
-/** std allocator over a shared PoolArena (for allocate_shared). */
-template <typename T>
-struct PoolAllocator
-{
-    using value_type = T;
-
-    explicit PoolAllocator(std::shared_ptr<PoolArena> a)
-        : arena(std::move(a))
-    {
-    }
-
-    template <typename U>
-    PoolAllocator(const PoolAllocator<U> &other) : arena(other.arena)
-    {
-    }
-
-    T *
-    allocate(std::size_t n)
-    {
-        if (n == 1 && alignof(T) <= alignof(std::max_align_t))
-            return static_cast<T *>(arena->allocate(sizeof(T)));
-        return static_cast<T *>(::operator new(n * sizeof(T)));
-    }
-
-    void
-    deallocate(T *p, std::size_t n) noexcept
-    {
-        if (n == 1 && alignof(T) <= alignof(std::max_align_t))
-            arena->deallocate(p, sizeof(T));
-        else
-            ::operator delete(p);
-    }
-
-    template <typename U>
-    bool
-    operator==(const PoolAllocator<U> &other) const
-    {
-        return arena == other.arena;
-    }
-
-    std::shared_ptr<PoolArena> arena;
-};
 
 } // namespace ursa::sim
 

@@ -35,6 +35,11 @@ Replica::Replica(Service &svc, int index)
                "replica configured with a non-positive CPU limit");
 }
 
+Replica::~Replica()
+{
+    cancelCpuEvent();
+}
+
 void
 Replica::auditAccounting()
 {
@@ -124,8 +129,7 @@ Replica::advance(const InvocationPtr &inv)
             auto done = [this, inv] { finish(inv); };
             cpuSubmit(work, std::move(done));
             // Mark post-compute as consumed by bumping past the calls.
-            const_cast<InvocationPtr &>(inv)->callIdx =
-                inv->behavior->calls.size() + 1;
+            inv->callIdx = inv->behavior->calls.size() + 1;
             return;
         }
         finish(inv);
@@ -286,11 +290,11 @@ Replica::releaseWorker()
         begin(std::move(next));
         return;
     }
-    // Worker idles; offer it to the service's message queue.
+    // Worker idles; offer it to the service's message queue, which
+    // re-busies it via beginMq if a message waits.
     if (!draining_ && svc_.config().mqConsumer) {
         --busyWorkers_;
-        if (svc_.offerMqWork(*this))
-            return; // offerMqWork re-busied the worker via beginMq
+        svc_.offerMqWork(*this);
         return;
     }
     --busyWorkers_;
@@ -409,7 +413,10 @@ Replica::cpuSync()
 void
 Replica::cpuReschedule()
 {
-    ++cpuGen_;
+    // Cancel and schedule anew even when the completion time does not
+    // move: the fresh seq orders the completion after every event
+    // already scheduled for the same time.
+    cancelCpuEvent();
     if (jobRemaining_.empty())
         return;
     const double n = static_cast<double>(jobRemaining_.size());
@@ -420,18 +427,25 @@ Replica::cpuReschedule()
     const double delay = minRemaining / rate;
     const SimTime when = std::max<SimTime>(
         static_cast<SimTime>(std::ceil(delay)), minRemaining > kWorkEps ? 1 : 0);
-    const std::uint64_t gen = cpuGen_;
-    ++queuedCpuEvents_;
-    svc_.cluster().events().scheduleIn(when,
-                                       [this, gen] { onCpuEvent(gen); });
+    cpuEvent_ =
+        svc_.cluster().events().scheduleIn(when, [this] { onCpuEvent(); });
 }
 
 void
-Replica::onCpuEvent(std::uint64_t gen)
+Replica::cancelCpuEvent()
 {
-    --queuedCpuEvents_;
-    if (gen != cpuGen_)
-        return; // superseded by a newer schedule
+    if (!cpuEvent_)
+        return;
+    const bool found = svc_.cluster().events().cancel(cpuEvent_);
+    URSA_CHECK(found, "sim.replica",
+               "pending CPU completion missing from the event queue");
+    cpuEvent_ = {};
+}
+
+void
+Replica::onCpuEvent()
+{
+    cpuEvent_ = {}; // running now, no longer pending
     cpuSync();
     // Collect finished jobs first: their callbacks may submit new work.
     // Stable in-place compaction keeps the surviving jobs in submission

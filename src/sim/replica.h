@@ -25,6 +25,7 @@
 
 #include "check/check.h"
 #include "sim/callback.h"
+#include "sim/event_queue.h"
 #include "sim/invocation.h"
 #include "sim/time.h"
 
@@ -48,6 +49,9 @@ class Replica
      */
     Replica(Service &svc, int index);
 
+    /** Cancels the pending CPU completion, if any. */
+    ~Replica();
+
     Replica(const Replica &) = delete;
     Replica &operator=(const Replica &) = delete;
 
@@ -56,9 +60,6 @@ class Replica
 
     /** Pending RPC queue length (excluding running invocations). */
     std::size_t queueLength() const { return pending_.size(); }
-
-    /** Number of busy worker threads (running or blocked downstream). */
-    int busyWorkers() const { return busyWorkers_; }
 
     /** Submit an RPC invocation (from Service dispatch). */
     void submit(InvocationPtr inv);
@@ -94,13 +95,6 @@ class Replica
     /** Whether startDrain was called. */
     bool draining() const { return draining_; }
 
-    /**
-     * Whether a CPU event this replica scheduled is still queued,
-     * superseded ones included. Each reads the replica when it fires,
-     * so the replica must outlive it.
-     */
-    bool cpuEventQueued() const { return queuedCpuEvents_ > 0; }
-
 #if URSA_CHECK_LEVEL >= 1
     /**
      * Violation injection for the check layer's own tests: release a
@@ -126,7 +120,8 @@ class Replica
     void cpuSubmit(double workCoreUs, InlineCallback done);
     void cpuSync();
     void cpuReschedule();
-    void onCpuEvent(std::uint64_t gen);
+    void cancelCpuEvent();
+    void onCpuEvent();
     double effectiveLimit() const { return cpuLimit_ * cpuFactor_; }
 
     Service &svc_;
@@ -156,8 +151,8 @@ class Replica
     std::vector<std::uint32_t> finishedScratch_;
     SimTime lastSync_ = 0;
     double busyIntegral_ = 0.0;
-    std::uint64_t cpuGen_ = 0;
-    std::uint32_t queuedCpuEvents_ = 0;
+    /// The one pending completion event, while any job runs.
+    EventId cpuEvent_;
 };
 
 } // namespace ursa::sim

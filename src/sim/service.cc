@@ -216,11 +216,6 @@ Service::notifyDrained(Replica &replica)
                 if (!(*it)->drained())
                     return; // picked up new work in the meantime
                 retiredBusyCoreUs_ += (*it)->busyCoreUs();
-                std::erase_if(retired_, [](const auto &r) {
-                    return !r->cpuEventQueued();
-                });
-                if ((*it)->cpuEventQueued())
-                    retired_.push_back(std::move(*it));
                 replicas_.erase(it);
                 cluster_.metrics().recordAllocation(
                     id_, cluster_.events().now(), cpuAllocation());

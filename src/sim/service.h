@@ -98,9 +98,6 @@ class Service
     ServiceConfig cfg_;
     ServiceId id_;
     std::vector<std::unique_ptr<Replica>> replicas_;
-    /// Reaped replicas that still have a CPU event queued, kept alive
-    /// until a later reap finds all their events fired.
-    std::vector<std::unique_ptr<Replica>> retired_;
     /// MQ buffer: priority level -> FIFO of waiting invocations.
     std::map<int, std::deque<InvocationPtr>> mq_;
     std::size_t rr_ = 0;

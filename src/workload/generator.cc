@@ -109,13 +109,8 @@ GeneratorClient::GeneratorClient(sim::Cluster &cluster,
 void
 GeneratorClient::start(sim::SimTime at)
 {
-    // Invalidate callbacks still queued from any previous run before
-    // the new chain starts; without this, a stale callback would see
-    // running_ == true again and resume alongside the new chain,
-    // double-submitting every arrival.
-    ++generation_;
+    stop();
     gen_->reset();
-    running_ = true;
     scheduleNext(at);
 }
 
@@ -123,16 +118,11 @@ void
 GeneratorClient::scheduleNext(sim::SimTime base)
 {
     const auto e = gen_->next();
-    if (!e) {
-        running_ = false;
+    if (!e)
         return;
-    }
-    const std::uint64_t gen = generation_;
-    cluster_.events().schedule(
+    next_ = cluster_.events().schedule(
         std::max(base + e->at, cluster_.events().now()),
-        [this, gen, base, c = e->classId] {
-            if (!running_ || gen != generation_)
-                return;
+        [this, base, c = e->classId] {
             cluster_.submit(c);
             ++submitted_;
             scheduleNext(base);

@@ -15,6 +15,7 @@
 
 #include "sim/client.h"
 #include "sim/cluster.h"
+#include "sim/event_queue.h"
 #include "sim/time.h"
 #include "sim/types.h"
 #include "stats/rng.h"
@@ -120,21 +121,23 @@ ArrivalTrace recordTrace(Generator &gen, sim::SimTime until);
 /**
  * Drives any Generator into a cluster. start() resets the generator
  * and begins submitting its arrivals relative to the start time;
- * stop() halts; start() again replays from the beginning. Callbacks
- * from a superseded run are invalidated by a generation counter, so
- * stop()+start() never double-submits (the scheduled callback of the
- * old chain still fires, sees a stale generation, and dies).
+ * stop() halts; start() again replays from the beginning. The client
+ * holds the id of its one pending arrival, so stop() and a restart
+ * cancel it and a superseded run can never submit.
  */
 class GeneratorClient
 {
   public:
     GeneratorClient(sim::Cluster &cluster, std::unique_ptr<Generator> gen);
 
+    /** Stops the client; the cluster must still be alive. */
+    ~GeneratorClient() { stop(); }
+
     /** Begin replay at absolute time `at`. */
     void start(sim::SimTime at = 0);
 
     /** Stop issuing new arrivals. */
-    void stop() { running_ = false; }
+    void stop() { cluster_.events().cancel(next_); }
 
     /** Requests submitted so far (across all starts). */
     std::uint64_t submitted() const { return submitted_; }
@@ -146,8 +149,7 @@ class GeneratorClient
 
     sim::Cluster &cluster_;
     std::unique_ptr<Generator> gen_;
-    bool running_ = false;
-    std::uint64_t generation_ = 0;
+    sim::EventId next_; ///< the next arrival's event
     std::uint64_t submitted_ = 0;
 };
 

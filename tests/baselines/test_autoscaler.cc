@@ -75,6 +75,23 @@ TEST(Autoscaler, AutoBKeepsMoreHeadroomThanAutoA)
     EXPECT_GT(run(autoBConfig()), run(autoAConfig()));
 }
 
+TEST(Autoscaler, RestartTicksOncePerInterval)
+{
+    // stop() retracts the pending tick, so a restart runs one chain of
+    // ticks, never two interleaved ones.
+    const auto app = tests::makeToyApp();
+    Cluster c(3);
+    app.instantiate(c);
+    Autoscaler scaler(c, autoAConfig()); // ticks every 30 s
+    scaler.start(0);
+    c.run(45 * kSec); // ticks at 0 and 30 s
+    scaler.stop();
+    scaler.start(c.events().now());
+    c.run(105 * kSec); // ticks at 45, 75 and 105 s
+    EXPECT_EQ(scaler.decisionLatencyUs().count(),
+              5u * static_cast<std::size_t>(c.numServices()));
+}
+
 TEST(Autoscaler, DecisionLatencyRecorded)
 {
     const auto app = tests::makeToyApp();

@@ -142,6 +142,26 @@ TEST_F(ManagerTest, ControlPlaneLatencyIsMicroseconds)
     EXPECT_GT(mgr.updateLatencyUs().count(), 0u);
 }
 
+TEST_F(ManagerTest, DeployAfterStopResumesControlTicks)
+{
+    app.instantiate(cluster);
+    UrsaManager mgr(cluster, app, sharedProfile(), fastManagerOptions());
+    ASSERT_TRUE(mgr.deploy(app.nominalRps, app.exploreMix));
+    OpenLoopClient client(cluster, workload::constantRate(app.nominalRps),
+                          fixedMix(app.exploreMix), 9);
+    client.start(0);
+    cluster.run(kMin); // control ticks at 10, 20, ..., 60 s
+    const auto firstMinute = mgr.deployDecisionLatencyUs().count();
+    ASSERT_GT(firstMinute, 0u);
+    mgr.stop();
+    cluster.run(2 * kMin); // past where the next tick was due
+    EXPECT_EQ(mgr.deployDecisionLatencyUs().count(), firstMinute);
+    // A fresh deploy restarts the loop from now: ticks at 2:10 ... 3:00.
+    ASSERT_TRUE(mgr.deploy(app.nominalRps, app.exploreMix));
+    cluster.run(3 * kMin);
+    EXPECT_EQ(mgr.deployDecisionLatencyUs().count(), 2 * firstMinute);
+}
+
 TEST_F(ManagerTest, InfeasibleDeployReturnsFalse)
 {
     app.instantiate(cluster);

@@ -104,6 +104,25 @@ TEST(OpenLoopClient, StopHaltsSubmissions)
     EXPECT_EQ(client.submitted(), count);
 }
 
+TEST(OpenLoopClient, RestartKeepsTheRate)
+{
+    // Restarting while an arrival is pending replaces the arrival
+    // chain instead of running a second one beside it, with or without
+    // a stop() first.
+    auto c = tinyCluster(1);
+    OpenLoopClient client(*c, [](SimTime) { return 100.0; },
+                          fixedMix({1.0}), 5);
+    client.start(0);
+    c->run(kSec);
+    client.stop();
+    client.start(c->events().now());
+    c->run(2 * kSec);
+    client.start(c->events().now());
+    c->run(kMin);
+    EXPECT_NEAR(static_cast<double>(client.submitted()), 100.0 * 60.0,
+                400.0);
+}
+
 TEST(ClosedLoopClient, InFlightBoundedByUsers)
 {
     // Service that takes ~100ms per request, 3 users, no think time:

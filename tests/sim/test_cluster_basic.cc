@@ -246,10 +246,10 @@ TEST(ClusterBasic, ScalingDownDrains)
 TEST(ClusterBasic, ReapedReplicaOutlivesItsSupersededCpuEvent)
 {
     // A throttled job schedules its completion far out; unthrottling
-    // reschedules it sooner and leaves the far event queued. Its
-    // replica then drains and is reaped before that stale event fires,
-    // and the event still reads the replica (the sanitizer legs catch
-    // a use after free here).
+    // reschedules it sooner, and the far event must be cancelled, not
+    // left queued. Its replica then drains and is reaped before the far
+    // time, so a far event still queued would read a freed replica (the
+    // sanitizer legs catch a use after free here).
     SingleServiceFixture f(10.0, 4, 1.0, 2);
     f.cluster.service(f.sid).setCpuFactor(0.1);
     int done = 0;
@@ -259,8 +259,11 @@ TEST(ClusterBasic, ReapedReplicaOutlivesItsSupersededCpuEvent)
     }
     f.cluster.run(kMsec); // both jobs due ~100 ms in
     f.cluster.service(f.sid).setCpuFactor(1.0); // now due ~10 ms in
+    // The unthrottle cancelled the far events: one completion per busy
+    // replica is pending, plus the metrics sampler's next tick.
+    EXPECT_EQ(f.cluster.events().pending(), 2u + 1u);
     f.cluster.service(f.sid).setReplicas(1);
-    f.cluster.run(kSec); // reaped at ~10 ms, stale events at ~100 ms
+    f.cluster.run(kSec); // reaped at ~10 ms, before the ~100 ms far time
     EXPECT_EQ(done, 2);
     EXPECT_EQ(f.cluster.service(f.sid).activeReplicas(), 1);
     EXPECT_DOUBLE_EQ(f.cluster.service(f.sid).cpuAllocation(), 1.0);

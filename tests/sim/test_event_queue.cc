@@ -16,13 +16,15 @@
 namespace
 {
 
+using ursa::sim::EventId;
 using ursa::sim::EventQueue;
 using ursa::sim::SimTime;
 
 /**
  * The order oracle: the kernel's contract written the obvious way. A
  * multimap inserts an equal key after the existing ones, so equal-time
- * events run in scheduling order by construction.
+ * events run in scheduling order by construction, and cancelling is
+ * an erase.
  */
 class ReferenceQueue
 {
@@ -30,18 +32,32 @@ class ReferenceQueue
     SimTime now() const { return now_; }
     std::size_t pending() const { return events_.size(); }
 
-    void
+    EventId
     schedule(SimTime at, std::function<void()> fn)
     {
         if (at < now_)
             throw std::logic_error("scheduling an event in the past");
-        events_.emplace(at, std::move(fn));
+        events_.emplace(at, std::make_pair(seq_, std::move(fn)));
+        return {at, seq_++};
     }
 
-    void
+    EventId
     scheduleIn(SimTime delay, std::function<void()> fn)
     {
-        schedule(now_ + delay, std::move(fn));
+        return schedule(now_ + delay, std::move(fn));
+    }
+
+    bool
+    cancel(EventId id)
+    {
+        const auto [first, last] = events_.equal_range(id.at);
+        for (auto it = first; it != last; ++it) {
+            if (it->second.first == id.seq) {
+                events_.erase(it);
+                return true;
+            }
+        }
+        return false;
     }
 
     void
@@ -50,14 +66,16 @@ class ReferenceQueue
         while (!events_.empty() && events_.begin()->first <= until) {
             auto node = events_.extract(events_.begin());
             now_ = node.key();
-            node.mapped()();
+            node.mapped().second();
         }
         now_ = std::max(now_, until);
     }
 
   private:
     SimTime now_ = 0;
-    std::multimap<SimTime, std::function<void()>> events_;
+    std::uint64_t seq_ = 0;
+    std::multimap<SimTime, std::pair<std::uint64_t, std::function<void()>>>
+        events_;
 };
 
 TEST(EventQueue, RunsInTimeOrder)
@@ -193,6 +211,55 @@ TEST(EventQueue, MoveOnlyCallbacksAndHeapFallback)
     EXPECT_EQ(fired, 42);
 }
 
+TEST(EventQueue, CancelRetractsOnlyPendingEvents)
+{
+    EventQueue q;
+    std::vector<int> order;
+    auto token = std::make_shared<int>(1);
+    const EventId early = q.schedule(10, [&] { order.push_back(1); });
+    const EventId dropped =
+        q.schedule(20, [&, token] { order.push_back(2); });
+    q.schedule(30, [&] { order.push_back(3); });
+    ASSERT_EQ(token.use_count(), 2);
+
+    // A pending event: its callback is destroyed at once, never run.
+    EXPECT_TRUE(q.cancel(dropped));
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(q.pending(), 2u);
+    EXPECT_EQ(q.cancelled(), 1u);
+
+    // Stale ids change nothing: already cancelled, default, already run.
+    EXPECT_FALSE(q.cancel(dropped));
+    EXPECT_FALSE(q.cancel(EventId{}));
+    q.runUntil(10);
+    EXPECT_FALSE(q.cancel(early));
+    q.runUntil(100);
+    EXPECT_EQ(order, (std::vector<int>{1, 3}));
+    EXPECT_EQ(q.processed(), 2u);
+    EXPECT_EQ(q.cancelled(), 1u);
+    EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueue, CancelRefreshesTheLadderMinimum)
+{
+    // Cancelling the earliest overflow-ladder event refreshes the
+    // ladder's cached minimum (the level-2 structure audit checks it
+    // during the churn below), and the survivor still runs on time.
+    EventQueue q;
+    std::vector<int> order;
+    q.schedule(0, [] {}); // anchors the epoch near 0
+    const EventId first = q.schedule(50000000, [&] { order.push_back(1); });
+    q.schedule(60000000, [&] { order.push_back(2); });
+    EXPECT_TRUE(q.cancel(first));
+    for (int i = 0; i < 4096; ++i) {
+        q.schedule(q.now(), [] {});
+        q.runUntil(q.now());
+    }
+    q.runUntil(70000000);
+    EXPECT_EQ(order, (std::vector<int>{2}));
+    EXPECT_EQ(q.cancelled(), 1u);
+}
+
 TEST(EventQueue, PopReleasesCallbackState)
 {
     // Dispatch must move the callback out of its slot: the shared
@@ -209,23 +276,42 @@ TEST(EventQueue, PopReleasesCallbackState)
 
 // --- differential against the reference queue, and calendar stress ---
 
+/** One dispatch ('f'), or one cancel that found ('c') or missed ('s'). */
+using ScriptLog = std::vector<std::pair<char, int>>;
+
 /**
  * Drive one queue through a deterministic pseudo-random op script
  * (bursty schedules, short and long bounded runs, callback-side
- * schedules spanning bucket, epoch and overflow horizons) and record
- * the exact dispatch sequence by event id.
+ * schedules spanning bucket, epoch and overflow horizons, and cancels
+ * from both sides) and record the exact dispatch sequence by event id
+ * together with every cancel's result.
  */
 template <typename Queue>
-std::vector<int>
+ScriptLog
 runScript(int rounds)
 {
     Queue q;
-    std::vector<int> fired;
+    ScriptLog log;
+    std::vector<EventId> ids; // by event number; default until scheduled
     int nextId = 0;
+    int lastFired = -1;
     unsigned long long x = 9876543210123ULL;
     auto rnd = [&](unsigned long long mod) {
         x = x * 6364136223846793005ULL + 1442695040888963407ULL;
         return (x >> 33) % mod;
+    };
+    auto newId = [&] {
+        ids.emplace_back();
+        return nextId++;
+    };
+    auto fire = [&](int id) {
+        log.emplace_back('f', id);
+        lastFired = id;
+    };
+    auto cancel = [&](int id) {
+        log.emplace_back(q.cancel(ids[static_cast<std::size_t>(id)]) ? 'c'
+                                                                      : 's',
+                         id);
     };
 
     for (int round = 0; round < rounds; ++round) {
@@ -241,25 +327,55 @@ runScript(int rounds)
             case 2: at += static_cast<SimTime>(rnd(20000)); break;
             default: at += static_cast<SimTime>(rnd(3000000)); break;
             }
-            const int id = nextId++;
-            if (rnd(8) == 0) {
+            const int id = newId();
+            switch (rnd(8)) {
+            case 0: {
                 // Callback-side reschedule: a same-time child (extends
                 // the dispatch batch) plus a far child.
-                const int child1 = nextId++;
-                const int child2 = nextId++;
-                q.schedule(at, [&q, &fired, id, child1, child2] {
-                    fired.push_back(id);
-                    q.scheduleIn(0, [&fired, child1] {
-                        fired.push_back(child1);
-                    });
-                    q.scheduleIn(70000, [&fired, child2] {
-                        fired.push_back(child2);
-                    });
+                const int child1 = newId();
+                const int child2 = newId();
+                ids[id] = q.schedule(at, [&, id, child1, child2] {
+                    fire(id);
+                    ids[child1] =
+                        q.scheduleIn(0, [&, child1] { fire(child1); });
+                    ids[child2] =
+                        q.scheduleIn(70000, [&, child2] { fire(child2); });
                 });
-            } else {
-                q.schedule(at, [&fired, id] { fired.push_back(id); });
+                break;
+            }
+            case 1: {
+                // Callback-side cancels inside the draining band: the
+                // event that ran just before (often earlier in this
+                // same band, so already run) and a same-time sibling
+                // scheduled right after this event (still pending,
+                // later in the band).
+                const int sibling = newId();
+                ids[id] = q.schedule(at, [&, id, sibling] {
+                    const int before = lastFired;
+                    fire(id);
+                    if (before >= 0)
+                        cancel(before);
+                    cancel(sibling);
+                });
+                ids[sibling] = q.schedule(at, [&, sibling] { fire(sibling); });
+                break;
+            }
+            default:
+                ids[id] = q.schedule(at, [&, id] { fire(id); });
+                break;
             }
         }
+        // Cancels from outside any callback: earlier ids at random
+        // (live ones wherever the calendar keeps them, stale ones that
+        // already ran or were cancelled, children not yet scheduled),
+        // the newest event, and now and then the default id.
+        for (int c = static_cast<int>(rnd(4)); c > 0; --c)
+            cancel(static_cast<int>(rnd(static_cast<unsigned long long>(
+                nextId))));
+        if (rnd(3) == 0)
+            cancel(nextId - 1);
+        if (rnd(16) == 0)
+            log.emplace_back(q.cancel(EventId{}) ? 'c' : 's', -1);
         // Mixed draining: short hops that end inside a bucket, and
         // longer bounded runs.
         switch (rnd(3)) {
@@ -275,17 +391,18 @@ runScript(int rounds)
     }
     q.runUntil(q.now() + 10000000);
     EXPECT_EQ(q.pending(), 0u);
-    return fired;
+    return log;
 }
 
 // The determinism contract: the calendar queue dispatches the exact
-// (time, seq) sequence of the reference queue under a randomized
-// workload that exercises day-list inserts, bucket pulls, epoch
-// rebuilds and the overflow ladder.
+// (time, seq) sequence of the reference queue, and agrees on every
+// cancel, under a randomized workload that exercises day-list inserts,
+// bucket pulls, epoch rebuilds, the overflow ladder and cancels in
+// each of them.
 TEST(EventQueue, RandomizedDifferentialCalendarVsHeap)
 {
-    const std::vector<int> calendar = runScript<EventQueue>(400);
-    const std::vector<int> reference = runScript<ReferenceQueue>(400);
+    const ScriptLog calendar = runScript<EventQueue>(400);
+    const ScriptLog reference = runScript<ReferenceQueue>(400);
     ASSERT_GT(calendar.size(), 1000u);
     EXPECT_EQ(calendar, reference);
 }

@@ -93,8 +93,6 @@ TEST_F(MetricsTest, WindowViolationRateUsesSlaPercentile)
     for (int i = 90; i < 100; ++i)
         m.recordEndToEnd(1, 50 * kSec, fromMs(5000.0));
     EXPECT_DOUBLE_EQ(m.slaViolationRate(1, 0, kMin), 0.0);
-    // But per-request accounting still sees the 10% tail.
-    EXPECT_NEAR(m.requestViolationRate(1, 0, kMin), 0.1, 1e-9);
 }
 
 TEST_F(MetricsTest, ViolatingWindowDetected)

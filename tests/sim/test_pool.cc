@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 #include <vector>
 
@@ -75,29 +74,6 @@ TEST(PoolArena, ManyBlocksCycleWithoutAliasing)
     EXPECT_EQ(recycled, unique);
     for (void *p : recycled)
         arena.deallocate(p, 192);
-}
-
-TEST(PoolArena, AllocatorRoundTripsThroughAllocateShared)
-{
-    auto arena = std::make_shared<PoolArena>();
-    struct Node
-    {
-        double payload[6];
-    };
-    std::weak_ptr<Node> observer;
-    void *first = nullptr;
-    {
-        auto n = std::allocate_shared<Node>(PoolAllocator<Node>(arena));
-        observer = n;
-        first = n.get();
-    }
-    EXPECT_TRUE(observer.expired());
-    // allocate_shared fuses object and control block into one node;
-    // the weak_ptr pins that node, so release it before expecting the
-    // arena to hand the same memory back.
-    observer.reset();
-    auto m = std::allocate_shared<Node>(PoolAllocator<Node>(arena));
-    EXPECT_EQ(m.get(), first);
 }
 
 #if URSA_CHECK_LEVEL >= 1

@@ -213,7 +213,7 @@ TEST(TraceReplay, StopThenRestartDoesNotDoubleSubmit)
     client.start(0);
     c->run(450 * kMsec); // entries at 100..400ms: 4 submissions
     EXPECT_EQ(client.submitted(), 4u);
-    client.stop(); // the entry-5 callback (500ms) is still queued
+    client.stop(); // cancels the queued entry-5 arrival (500ms)
 
     client.start(c->events().now()); // restart at 450ms
     // Mid-replay checkpoint: only the new chain's entries (at
