@@ -15,6 +15,10 @@
  * cancelled before it ran (here, a superseded CPU completion), or still
  * pending when the run stops.
  *
+ * The output also records the process's peak resident set
+ * (`getrusage` `ru_maxrss` after the last rep), which
+ * scripts/bench_smoke.py bounds.
+ *
  * Results are written to build/bench_out/ by default so local runs
  * never clobber the checked-in reference; `--update-reference` appends
  * a new trajectory entry to the source-tree BENCH_kernel.json (this is
@@ -50,6 +54,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+
+#include <sys/resource.h>
 
 #ifndef URSA_BENCH_OUT_DIR
 #define URSA_BENCH_OUT_DIR "bench_out"
@@ -138,6 +144,15 @@ bestOf(const ursa::apps::AppSpec &app, ursa::sim::SimTime simSpan,
     return best;
 }
 
+/** Peak resident set of this process so far, in MiB. */
+double
+peakRssMb()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<double>(ru.ru_maxrss) / 1024.0; // ru_maxrss is KiB
+}
+
 std::string
 isoDate()
 {
@@ -172,7 +187,7 @@ gitCommit()
 
 /** Serialize one trajectory entry (the reference-file record). */
 std::string
-entryJson(const RunResult &single, const std::string &label,
+entryJson(const RunResult &single, double rssMb, const std::string &label,
           const std::string &indent)
 {
     std::ostringstream os;
@@ -189,7 +204,8 @@ entryJson(const RunResult &single, const std::string &label,
        << indent << "    \"events_per_sec\": " << single.eventsPerSec()
        << ",\n"
        << indent << "    \"requests_per_sec\": "
-       << single.requestsPerSec() << "\n"
+       << single.requestsPerSec() << ",\n"
+       << indent << "    \"peak_rss_mb\": " << rssMb << "\n"
        << indent << "  }\n"
        << indent << "}";
     return os.str();
@@ -273,10 +289,11 @@ main(int argc, char **argv)
                 app.name.c_str(), simMin, reps);
 
     const RunResult single = bestOf(app, simSpan, reps);
+    const double rssMb = peakRssMb();
 
-    std::printf("best: %.3fM events/s, %.1fk requests/s\n",
+    std::printf("best: %.3fM events/s, %.1fk requests/s, peak RSS %.1f MB\n",
                 single.eventsPerSec() / 1e6,
-                single.requestsPerSec() / 1e3);
+                single.requestsPerSec() / 1e3, rssMb);
 
     const std::filesystem::path out(outPath);
     if (out.has_parent_path()) {
@@ -294,7 +311,8 @@ main(int argc, char **argv)
        << "  \"requests\": " << single.requests << ",\n"
        << "  \"wall_sec\": " << single.wallSec << ",\n"
        << "  \"events_per_sec\": " << single.eventsPerSec() << ",\n"
-       << "  \"requests_per_sec\": " << single.requestsPerSec() << "\n"
+       << "  \"requests_per_sec\": " << single.requestsPerSec() << ",\n"
+       << "  \"peak_rss_mb\": " << rssMb << "\n"
        << "}\n";
     if (os)
         std::printf("wrote %s\n", outPath.c_str());
@@ -305,7 +323,7 @@ main(int argc, char **argv)
         const std::string label =
             envStr("URSA_BENCH_LABEL", "local update");
         const std::string entry =
-            entryJson(single, label, "    ");
+            entryJson(single, rssMb, label, "    ");
         if (appendTrajectoryEntry(URSA_BENCH_REFERENCE, entry)) {
             std::printf("appended trajectory entry to %s\n",
                         URSA_BENCH_REFERENCE);

@@ -25,6 +25,12 @@ LATEST trajectory entry:
                     single-run ev/s. This catches order-of-magnitude
                     regressions (a debug build, a broken fast path)
                     while tolerating slower CI machines.
+  5. memory ceiling — the untraced run's peak RSS (getrusage
+                    ru_maxrss) must stay within RSS_CEILING times the
+                    latest entry's single-run peak_rss_mb. Like the
+                    throughput floor it is loose: it catches a
+                    structure that starts keeping what it used to
+                    drop, not allocator noise.
 
 Usage:
   bench_smoke.py --bench build/bench/bench_kernel \
@@ -38,6 +44,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+RSS_CEILING = 1.5
 
 
 def run_bench(bench, sampling, sim_minutes, out_path):
@@ -115,6 +123,16 @@ def main():
             f"({args.tolerance} of the recorded "
             f"{single_ref['events_per_sec'] / 1e6:.3f}M)")
 
+    # 5. Loose memory ceiling against the recorded single-run peak RSS.
+    ceiling = RSS_CEILING * single_ref["peak_rss_mb"]
+    print(f"peak RSS: {off['peak_rss_mb']:.1f} MB, recorded "
+          f"{single_ref['peak_rss_mb']:.1f} MB, ceiling {ceiling:.1f} MB")
+    if off["peak_rss_mb"] > ceiling:
+        failures.append(
+            f"single-run peak RSS grew: {off['peak_rss_mb']:.1f} MB > "
+            f"{ceiling:.1f} MB ({RSS_CEILING} x the recorded "
+            f"{single_ref['peak_rss_mb']:.1f} MB)")
+
     if failures:
         for msg in failures:
             print(f"bench_smoke FAIL: {msg}", file=sys.stderr)
@@ -123,7 +141,8 @@ def main():
           f"{args.reference} (events={off['events']}, "
           f"cancelled={off['cancelled']}, "
           f"requests={off['requests']}), tracing is "
-          "zero-perturbation and within the overhead bound")
+          "zero-perturbation and within the overhead bound, peak RSS "
+          "within its ceiling")
     return 0
 
 

@@ -153,13 +153,12 @@ ExplorationController::exploreService(const spec::AppSpec &app,
                                      .tierLatency(h.testedId,
                                                   static_cast<int>(c))
                                      .collect(warmup, levelSpan);
-            level.latency[c].reserve(grid.size());
             // A low-rate class can see zero arrivals within a short
             // level span; record zero latency (no observed load, which
             // matches loadPerReplica above) instead of throwing.
-            for (double p : grid)
-                level.latency[c].push_back(
-                    samples.empty() ? 0.0 : samples.percentile(p));
+            level.latency[c] = samples.empty()
+                                   ? std::vector<double>(grid.size(), 0.0)
+                                   : samples.percentiles(grid);
         }
         profile.levels.push_back(std::move(level));
 

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 
 namespace ursa::core
 {
@@ -46,13 +47,11 @@ ResourceController::tick()
     for (std::size_t c = 0; c < lpr_.size(); ++c) {
         if (lpr_[c] <= 0.0)
             continue;
-        const auto windows = metrics.arrivals(service_, static_cast<int>(c))
-                                 .lastWindowsBefore(
-                                     now, static_cast<std::size_t>(
-                                              opts_.historyWindows));
         stats::OnlineStats load;
-        for (const auto *w : windows)
-            load.add(static_cast<double>(w->stats.count()) / windowSec);
+        for (const std::uint64_t n : metrics.arrivalCounts(
+                 service_, static_cast<int>(c), now,
+                 static_cast<std::size_t>(opts_.historyWindows)))
+            load.add(static_cast<double>(n) / windowSec);
         if (load.count() == 0)
             continue;
 

@@ -6,6 +6,8 @@
 #include "stats/timeseries.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 
 namespace ursa::sim
@@ -20,13 +22,9 @@ MetricsRegistry::MetricsRegistry(SimTime window) : window_(window)
 void
 MetricsRegistry::addService(const std::string &name)
 {
-    PerService s;
-    s.name = name;
-    for (std::size_t i = 0; i < classes_.size(); ++i) {
-        s.tierLat.emplace_back(window_);
-        s.arrivals.emplace_back(window_);
-    }
-    services_.push_back(std::move(s));
+    services_.push_back({});
+    services_.back().name = name;
+    growClassVectors();
 }
 
 void
@@ -40,10 +38,9 @@ void
 MetricsRegistry::growClassVectors()
 {
     for (PerService &s : services_) {
-        while (s.tierLat.size() < classes_.size()) {
+        while (s.tierLat.size() < classes_.size())
             s.tierLat.emplace_back(window_);
-            s.arrivals.emplace_back(window_);
-        }
+        s.arrivals.resize(classes_.size());
     }
 }
 
@@ -65,8 +62,15 @@ MetricsRegistry::recordEndToEnd(ClassId c, SimTime at, SimTime lat)
 void
 MetricsRegistry::recordArrival(ServiceId s, ClassId c, SimTime at)
 {
-    checkIds(s, c);
-    stage({at, 0, s, c, PendingRec::Kind::Arrival});
+    std::vector<ArrivalWindow> &windows = services_.at(s).arrivals.at(c);
+    const SimTime start = stats::windowStart(at, window_);
+    if (!windows.empty() && windows.back().start == start)
+        ++windows.back().count;
+    else if (windows.empty() || windows.back().start < start)
+        windows.push_back({start, 1});
+    else
+        throw std::logic_error(
+            "MetricsRegistry: arrival time moved backwards");
 }
 
 void
@@ -82,11 +86,6 @@ MetricsRegistry::applyPending()
         case PendingRec::Kind::EndToEnd:
             classes_.at(rec.classId)
                 .e2e.add(rec.at, static_cast<double>(rec.lat));
-            break;
-        case PendingRec::Kind::Arrival:
-            services_.at(rec.service)
-                .arrivals.at(rec.classId)
-                .add(rec.at, 1.0);
             break;
         }
     }
@@ -129,30 +128,40 @@ MetricsRegistry::endToEnd(ClassId c) const
     return classes_.at(c).e2e;
 }
 
-const stats::WindowAggregator &
-MetricsRegistry::arrivals(ServiceId s, ClassId c) const
+std::vector<std::uint64_t>
+MetricsRegistry::arrivalCounts(ServiceId s, ClassId c, SimTime time,
+                               std::size_t n) const
 {
-    flushPending();
-    return services_.at(s).arrivals.at(c);
+    const std::vector<ArrivalWindow> &windows = services_.at(s).arrivals.at(c);
+    const SimTime cutoff = stats::windowStart(time, window_);
+    const auto end = std::lower_bound(
+        windows.begin(), windows.end(), cutoff,
+        [](const ArrivalWindow &w, SimTime t) { return w.start < t; });
+    const auto taken = std::min(
+        n, static_cast<std::size_t>(end - windows.begin()));
+    std::vector<std::uint64_t> out;
+    out.reserve(taken);
+    for (auto it = end - static_cast<std::ptrdiff_t>(taken); it != end; ++it)
+        out.push_back(it->count);
+    return out;
 }
 
 double
 MetricsRegistry::arrivalRate(ServiceId s, ClassId c, SimTime from,
                              SimTime to) const
 {
-    flushPending();
     if (to <= from)
         return 0.0;
     // Edge windows overlap the range only partially; counting them in
     // full while dividing by the clipped span inflates the rate, so
     // clip their contribution pro-rata to the overlap fraction.
     double count = 0.0;
-    for (const auto &w : services_.at(s).arrivals.at(c).windows()) {
+    for (const ArrivalWindow &w : services_.at(s).arrivals.at(c)) {
         const SimTime overlap =
             std::min(to, w.start + window_) - std::max(from, w.start);
         if (overlap <= 0)
             continue;
-        count += static_cast<double>(w.stats.count()) *
+        count += static_cast<double>(w.count) *
                  static_cast<double>(overlap) /
                  static_cast<double>(window_);
     }

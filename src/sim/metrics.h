@@ -6,6 +6,9 @@
  * tier latency of Sec. III), per-class end-to-end latencies with SLA
  * violation tracking, per-service/per-class arrival counts, and
  * per-service CPU allocation / busy integrals and replica counts.
+ * Each window keeps only what its readers use: latency windows keep
+ * moments and a reservoir for percentile queries, arrival windows keep
+ * a count.
  */
 
 #ifndef URSA_SIM_METRICS_H
@@ -15,6 +18,8 @@
 #include "sim/types.h"
 #include "stats/timeseries.h"
 
+#include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -26,15 +31,16 @@ namespace ursa::sim
  * Central, windowed metrics store for one cluster.
  *
  * The per-event recording calls (tier latency, end-to-end, arrival —
- * several per simulated request) are the hot path: each lands in a
- * windowed aggregator behind two bounds-checked lookups. To keep the
- * dispatch loop lean they are staged into a small POD buffer and
- * applied in order at batch boundaries: when the buffer fills, at
- * every busy-sample tick, and lazily before any query reads an
- * aggregate. The flush preserves recording order exactly, so every
- * aggregate (and every reservoir-sampling RNG draw) is bit-identical
- * to unbatched recording — batching moves work, it never changes
- * results.
+ * several per simulated request) are the hot path. An arrival only
+ * bumps the count of its (service, class) window in place. A latency
+ * record lands in a windowed aggregator behind two bounds-checked
+ * lookups; to keep the dispatch loop lean it is staged into a small
+ * POD buffer and applied in order at batch boundaries: when the
+ * buffer fills, at every busy-sample tick, and lazily before any query
+ * reads a latency aggregate. The flush preserves recording order
+ * exactly, so every aggregate (and every reservoir-sampling RNG draw)
+ * is bit-identical to unbatched recording — batching moves work, it
+ * never changes results.
  */
 class MetricsRegistry
 {
@@ -62,7 +68,10 @@ class MetricsRegistry
     /** End-to-end latency of a finished request of class `c`. */
     void recordEndToEnd(ClassId c, SimTime at, SimTime lat);
 
-    /** One request of class `c` arrived at service `s`. */
+    /**
+     * One request of class `c` arrived at service `s`. `at` must not
+     * fall in an earlier window than the pair's previous arrival.
+     */
     void recordArrival(ServiceId s, ClassId c, SimTime at);
 
     /** Cumulative busy core-us of service `s`, sampled at `at`. */
@@ -82,8 +91,16 @@ class MetricsRegistry
     /** End-to-end latency windows for a class. */
     const stats::WindowAggregator &endToEnd(ClassId c) const;
 
-    /** Arrival-count windows for (service, class). */
-    const stats::WindowAggregator &arrivals(ServiceId s, ClassId c) const;
+    /**
+     * Arrival counts of class `c` at service `s` in the last `n`
+     * windows before the one containing `time`, oldest first. A window
+     * exists only once something arrived in it, so minutes without
+     * arrivals are skipped, not counted as zero; fewer than `n` counts
+     * come back when the history is shorter.
+     */
+    std::vector<std::uint64_t> arrivalCounts(ServiceId s, ClassId c,
+                                             SimTime time,
+                                             std::size_t n) const;
 
     /** Arrivals per second of class `c` at service `s` over [from,to). */
     double arrivalRate(ServiceId s, ClassId c, SimTime from,
@@ -130,11 +147,18 @@ class MetricsRegistry
         SlaSpec sla;
         stats::WindowAggregator e2e;
     };
+    /// Arrivals of one (service, class) pair in one window.
+    struct ArrivalWindow
+    {
+        SimTime start;
+        std::uint64_t count;
+    };
     struct PerService
     {
         std::string name;
         std::vector<stats::WindowAggregator> tierLat; ///< per class
-        std::vector<stats::WindowAggregator> arrivals; ///< per class
+        /// Per class: the non-empty windows in time order.
+        std::vector<std::vector<ArrivalWindow>> arrivals;
         stats::TimeSeries busy;       ///< cumulative busy core-us samples
         stats::TimeSeries allocation; ///< allocated cores (step series)
         stats::TimeSeries replicas;
@@ -142,18 +166,17 @@ class MetricsRegistry
 
     void growClassVectors();
 
-    /// One staged hot-path record (recording order == buffer order).
+    /// One staged latency record (recording order == buffer order).
     struct PendingRec
     {
         SimTime at;
-        SimTime lat;       ///< unused for Arrival
+        SimTime lat;
         ServiceId service; ///< unused for EndToEnd
         ClassId classId;
         enum class Kind : std::uint8_t
         {
             TierLatency,
             EndToEnd,
-            Arrival,
         } kind;
     };
     /// Flush threshold: ~6 KiB of staged records, small enough to stay

@@ -472,8 +472,6 @@ Replica::onCpuEvent()
     }
     finished.clear();
     finishedScratch_ = std::move(finished);
-    if (draining_ && drained())
-        svc_.notifyDrained(*this);
 }
 
 } // namespace ursa::sim

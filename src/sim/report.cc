@@ -35,10 +35,11 @@ summarize(const Cluster &cluster, SimTime from, SimTime to)
         }
         const auto samples = m.endToEnd(c).collect(from, to);
         if (!samples.empty()) {
-            pc.latencyAtSlaPctMs =
-                samples.percentile(pc.slaPercentile) / 1000.0;
-            pc.p50Ms = samples.percentile(50.0) / 1000.0;
-            pc.p99Ms = samples.percentile(99.0) / 1000.0;
+            const auto ps =
+                samples.percentiles({pc.slaPercentile, 50.0, 99.0});
+            pc.latencyAtSlaPctMs = ps[0] / 1000.0;
+            pc.p50Ms = ps[1] / 1000.0;
+            pc.p99Ms = ps[2] / 1000.0;
         }
         out.requestsCompleted += pc.completed;
         out.classes.push_back(std::move(pc));
@@ -77,12 +78,12 @@ writeClassSeriesCsv(const Cluster &cluster, SimTime from, SimTime to,
         for (const auto &w : m.endToEnd(c).windows()) {
             if (w.start < from || w.start >= to || w.samples.empty())
                 continue;
-            const double atSla = w.samples.percentile(sla.percentile);
+            const auto ps =
+                w.samples.percentiles({50.0, 99.0, sla.percentile});
+            const double atSla = ps[2];
             out << toSec(w.start) / 60.0 << ',' << m.className(c) << ','
-                << w.stats.count() << ','
-                << w.samples.percentile(50.0) / 1000.0 << ','
-                << w.samples.percentile(99.0) / 1000.0 << ','
-                << atSla / 1000.0 << ','
+                << w.stats.count() << ',' << ps[0] / 1000.0 << ','
+                << ps[1] / 1000.0 << ',' << atSla / 1000.0 << ','
                 << (atSla > static_cast<double>(sla.targetUs) ? 1 : 0)
                 << "\n";
         }

@@ -1,10 +1,12 @@
 #include "sim/service.h"
 
+#include "check/check.h"
 #include "sim/cluster.h"
 #include "sim/invocation.h"
 #include "sim/types.h"
 #include "stats/rng.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -209,19 +211,23 @@ void
 Service::notifyDrained(Replica &replica)
 {
     // Reap on a fresh event: the replica may still be on the stack.
+    // A draining replica takes no new work, and only the release that
+    // empties it (or startDrain on an idle one) notifies, so exactly
+    // one reap finds it.
     Replica *target = &replica;
     cluster_.events().scheduleIn(0, [this, target] {
-        for (auto it = replicas_.begin(); it != replicas_.end(); ++it) {
-            if (it->get() == target) {
-                if (!(*it)->drained())
-                    return; // picked up new work in the meantime
-                retiredBusyCoreUs_ += (*it)->busyCoreUs();
-                replicas_.erase(it);
-                cluster_.metrics().recordAllocation(
-                    id_, cluster_.events().now(), cpuAllocation());
-                return;
-            }
-        }
+        const auto it = std::find_if(
+            replicas_.begin(), replicas_.end(),
+            [target](const auto &r) { return r.get() == target; });
+        const bool found = it != replicas_.end() && (*it)->drained();
+        URSA_CHECK(found, "sim.service",
+                   "reap found no drained replica at its address");
+        if (!found)
+            return;
+        retiredBusyCoreUs_ += (*it)->busyCoreUs();
+        replicas_.erase(it);
+        cluster_.metrics().recordAllocation(id_, cluster_.events().now(),
+                                            cpuAllocation());
     });
 }
 

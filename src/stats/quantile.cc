@@ -23,6 +23,24 @@ nextState(std::uint64_t &s)
     return z ^ (z >> 31);
 }
 
+/// The two closest ranks of percentile `p` in (0, 100) among `n`
+/// sorted values, and the interpolation weight between them.
+struct Ranks
+{
+    std::size_t lo;
+    std::size_t hi;
+    double frac;
+};
+
+Ranks
+ranksOf(std::size_t n, double p)
+{
+    const double rank = p / 100.0 * (static_cast<double>(n) - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(rank));
+    const auto hi = static_cast<std::size_t>(std::ceil(rank));
+    return {lo, hi, rank - static_cast<double>(lo)};
+}
+
 double
 interpolatedPercentile(const std::vector<double> &sorted, double p)
 {
@@ -32,11 +50,8 @@ interpolatedPercentile(const std::vector<double> &sorted, double p)
         return sorted.front();
     if (p >= 100.0)
         return sorted.back();
-    const double rank = p / 100.0 * (static_cast<double>(sorted.size()) - 1);
-    const auto lo = static_cast<std::size_t>(std::floor(rank));
-    const auto hi = static_cast<std::size_t>(std::ceil(rank));
-    const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+    const Ranks r = ranksOf(sorted.size(), p);
+    return sorted[r.lo] + r.frac * (sorted[r.hi] - sorted[r.lo]);
 }
 
 } // namespace
@@ -69,17 +84,6 @@ SampleSet::add(double x)
         if (slot < capacity_)
             samples_[slot] = x;
     }
-    sortedValid_ = false;
-}
-
-void
-SampleSet::ensureSorted() const
-{
-    if (sortedValid_)
-        return;
-    sorted_ = samples_;
-    std::sort(sorted_.begin(), sorted_.end());
-    sortedValid_ = true;
 }
 
 double
@@ -87,17 +91,36 @@ SampleSet::percentile(double p) const
 {
     if (samples_.empty())
         throw std::logic_error("percentile of empty SampleSet");
-    ensureSorted();
-    return interpolatedPercentile(sorted_, p);
+    if (p <= 0.0)
+        return *std::min_element(samples_.begin(), samples_.end());
+    if (p >= 100.0)
+        return *std::max_element(samples_.begin(), samples_.end());
+    // Select on a scratch copy, never on samples_: reservoir
+    // replacement indexes into samples_, so reordering it would change
+    // which sample every later add() overwrites.
+    std::vector<double> scratch = samples_;
+    const Ranks r = ranksOf(scratch.size(), p);
+    const auto lo = scratch.begin() + static_cast<std::ptrdiff_t>(r.lo);
+    std::nth_element(scratch.begin(), lo, scratch.end());
+    // Everything after `lo` is >= *lo, so the next order statistic is
+    // the smallest of them: the same two values a full sort would
+    // interpolate between, hence the same result.
+    const double atHi =
+        r.hi == r.lo ? *lo : *std::min_element(lo + 1, scratch.end());
+    return *lo + r.frac * (atHi - *lo);
 }
 
 std::vector<double>
 SampleSet::percentiles(const std::vector<double> &ps) const
 {
+    if (samples_.empty())
+        throw std::logic_error("percentile of empty SampleSet");
+    std::vector<double> sorted = samples_;
+    std::sort(sorted.begin(), sorted.end());
     std::vector<double> out;
     out.reserve(ps.size());
     for (double p : ps)
-        out.push_back(percentile(p));
+        out.push_back(interpolatedPercentile(sorted, p));
     return out;
 }
 
@@ -135,8 +158,6 @@ SampleSet::reset()
     observed_ = 0;
     aboveCount_ = 0;
     samples_.clear();
-    sorted_.clear();
-    sortedValid_ = false;
 }
 
 void
@@ -165,7 +186,6 @@ SampleSet::merge(const SampleSet &other)
             aboveCount_ += above * otherObserved / other.samples_.size();
         }
     }
-    sortedValid_ = false;
 
     // Reservoir union. Each retained sample stands for observed/retained
     // observations of its source stream; feeding the other set through

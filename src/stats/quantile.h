@@ -47,11 +47,15 @@ class SampleSet
 
     /**
      * Percentile in [0, 100]. Requires at least one sample.
-     * Linear interpolation between closest ranks.
+     * Linear interpolation between closest ranks, found by selection
+     * on a scratch copy in O(n); samples() keeps its order.
      */
     double percentile(double p) const;
 
-    /** Convenience: several percentiles at once (single sort). */
+    /**
+     * Several percentiles from one sorted scratch copy; each equals
+     * percentile(p) bit for bit. Requires at least one sample.
+     */
     std::vector<double> percentiles(const std::vector<double> &ps) const;
 
     /** Mean of retained samples. */
@@ -80,8 +84,6 @@ class SampleSet
     void merge(const SampleSet &other);
 
   private:
-    void ensureSorted() const;
-
     std::size_t capacity_;
     std::size_t observed_ = 0;
     std::size_t aboveCount_ = 0;
@@ -89,8 +91,6 @@ class SampleSet
     bool trackAbove_ = false;
     std::uint64_t rngState_;
     std::vector<double> samples_;
-    mutable std::vector<double> sorted_;
-    mutable bool sortedValid_ = false;
 
   public:
     /**

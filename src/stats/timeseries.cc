@@ -9,6 +9,15 @@
 namespace ursa::stats
 {
 
+std::int64_t
+windowStart(std::int64_t time, std::int64_t width)
+{
+    std::int64_t q = time / width;
+    if (time < 0 && time % width != 0)
+        --q;
+    return q * width;
+}
+
 void
 TimeSeries::append(std::int64_t time, double value)
 {
@@ -79,19 +88,10 @@ WindowAggregator::WindowAggregator(std::int64_t width,
                "window aggregator with a non-positive width");
 }
 
-std::int64_t
-WindowAggregator::windowStart(std::int64_t time) const
-{
-    std::int64_t q = time / width_;
-    if (time < 0 && time % width_ != 0)
-        --q;
-    return q * width_;
-}
-
 void
 WindowAggregator::add(std::int64_t time, double value)
 {
-    const std::int64_t start = windowStart(time);
+    const std::int64_t start = windowStart(time, width_);
     if (windows_.empty() || windows_.back().start < start) {
         windows_.emplace_back(start, sampleCapacity_);
     } else if (windows_.back().start > start) {
@@ -105,7 +105,7 @@ WindowAggregator::add(std::int64_t time, double value)
 const WindowAggregator::Window *
 WindowAggregator::windowAt(std::int64_t time) const
 {
-    const std::int64_t start = windowStart(time);
+    const std::int64_t start = windowStart(time, width_);
     const auto it = std::lower_bound(
         windows_.begin(), windows_.end(), start,
         [](const Window &w, std::int64_t s) { return w.start < s; });
@@ -118,7 +118,7 @@ std::vector<const WindowAggregator::Window *>
 WindowAggregator::lastWindowsBefore(std::int64_t time, std::size_t n) const
 {
     std::vector<const Window *> out;
-    const std::int64_t cutoff = windowStart(time);
+    const std::int64_t cutoff = windowStart(time, width_);
     for (auto it = windows_.rbegin(); it != windows_.rend() && out.size() < n;
          ++it) {
         if (it->start < cutoff)

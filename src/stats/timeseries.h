@@ -18,6 +18,9 @@
 namespace ursa::stats
 {
 
+/** Start of the `width`-wide window containing `time` (floor division). */
+std::int64_t windowStart(std::int64_t time, std::int64_t width);
+
 /** One (timestamp, value) observation. */
 struct Point
 {
@@ -110,8 +113,6 @@ class WindowAggregator
     SampleSet collect(std::int64_t from, std::int64_t to) const;
 
   private:
-    std::int64_t windowStart(std::int64_t time) const;
-
     std::int64_t width_;
     std::size_t sampleCapacity_;
     std::deque<Window> windows_;

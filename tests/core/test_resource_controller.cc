@@ -118,6 +118,26 @@ TEST(ResourceController, IgnoresClassesWithoutThreshold)
     EXPECT_LE(after, 2); // class 0 load is only ~10 rps
 }
 
+TEST(ResourceController, HistorySkipsMinutesWithoutArrivals)
+{
+    // The history is the last three minutes that saw arrivals. Loads
+    // {90, 90, 90} scale out to ceil(90 / 20); counting the quiet
+    // minute as zero load would give {90, 0, 90}, which fails the
+    // t-test and holds at 2 replicas.
+    Fixture f;
+    ResourceController ctl(f.cluster, f.sid);
+    ctl.setThresholds({20.0});
+    f.drive({1.0}, 90.0, 2 * kMin); // minutes 0 and 1
+    f.cluster.run(3 * kMin);        // minute 2: nothing arrives
+    f.drive({1.0}, 90.0, kMin);     // minute 3
+    const auto counts = f.cluster.metrics().arrivalCounts(
+        f.sid, 0, f.cluster.events().now(), 3);
+    ASSERT_EQ(counts.size(), 3u);
+    for (const auto n : counts)
+        EXPECT_GT(n, 5000u); // minutes 0, 1 and 3, ~5400 each
+    EXPECT_EQ(ctl.tick(), 5);
+}
+
 TEST(ResourceController, IdleServiceShrinksStepwiseToMinimum)
 {
     Fixture f;

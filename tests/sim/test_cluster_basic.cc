@@ -224,6 +224,7 @@ TEST(ClusterBasic, ScalingUpAddsCapacity)
 TEST(ClusterBasic, ScalingDownDrains)
 {
     SingleServiceFixture f(10.0, 4, 1.0, 4);
+    SingleServiceFixture steady(10.0, 4, 1.0, 4); // never scales in
     // Put work on all replicas, then scale down mid-flight.
     std::vector<SimTime> lat;
     for (int i = 0; i < 8; ++i) {
@@ -231,16 +232,24 @@ TEST(ClusterBasic, ScalingDownDrains)
         r->onSyncDone = [&](Request &rr) {
             lat.push_back(rr.syncDoneTime - rr.submitTime);
         };
+        steady.cluster.submit(steady.cls);
     }
     f.cluster.run(kMsec); // 1 ms in: all replicas busy
+    steady.cluster.run(kMsec);
     f.cluster.service(f.sid).setReplicas(1);
     EXPECT_EQ(f.cluster.service(f.sid).activeReplicas(), 1);
     // Draining replicas still count toward allocation until idle.
     EXPECT_GT(f.cluster.service(f.sid).cpuAllocation(), 1.0);
     f.cluster.run(kSec);
+    steady.cluster.run(kSec);
     EXPECT_EQ(lat.size(), 8u); // every request completed
     // After draining completes, allocation shrinks to one replica.
     EXPECT_DOUBLE_EQ(f.cluster.service(f.sid).cpuAllocation(), 1.0);
+    // Draining replicas keep their work, so the only extra events are
+    // the reaps: exactly one per drained replica.
+    EXPECT_EQ(f.cluster.events().processed() -
+                  steady.cluster.events().processed(),
+              3u);
 }
 
 TEST(ClusterBasic, ReapedReplicaOutlivesItsSupersededCpuEvent)

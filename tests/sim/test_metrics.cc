@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
 namespace
 {
 
@@ -65,6 +69,38 @@ TEST_F(MetricsTest, ArrivalRateClipsEdgeWindowsProRata)
     // A range past the data sees a pro-rata share of the edge window
     // and zero from the empty remainder.
     EXPECT_NEAR(m.arrivalRate(0, 0, 30 * kSec, 90 * kSec), 1.0, 0.1);
+}
+
+// Arrival windows hold counts. Like every window, one exists only once
+// something arrived in it, so quiet minutes are skipped, not zeros.
+TEST_F(MetricsTest, ArrivalCountsSkipEmptyWindows)
+{
+    m.recordArrival(0, 0, 5 * kSec);
+    m.recordArrival(0, 0, 3 * kMin + 5 * kSec);
+    m.recordArrival(0, 0, 3 * kMin + 6 * kSec);
+    EXPECT_EQ(m.arrivalCounts(0, 0, 10 * kMin, 10),
+              (std::vector<std::uint64_t>{1, 2}));
+}
+
+TEST_F(MetricsTest, ArrivalCountsLastWindowsBefore)
+{
+    for (int k = 0; k < 5; ++k) // k + 1 arrivals in minute k
+        for (int i = 0; i <= k; ++i)
+            m.recordArrival(0, 0, k * kMin + i * kSec);
+    // Oldest first, and the window containing `time` is left out.
+    EXPECT_EQ(m.arrivalCounts(0, 0, 4 * kMin + 30 * kSec, 3),
+              (std::vector<std::uint64_t>{2, 3, 4}));
+    // A shorter history returns fewer counts.
+    EXPECT_EQ(m.arrivalCounts(0, 0, 2 * kMin, 5),
+              (std::vector<std::uint64_t>{1, 2}));
+    EXPECT_TRUE(m.arrivalCounts(0, 1, 10 * kMin, 3).empty());
+    EXPECT_TRUE(m.arrivalCounts(1, 0, 10 * kMin, 3).empty());
+}
+
+TEST_F(MetricsTest, ArrivalTimeMovingBackwardsThrows)
+{
+    m.recordArrival(0, 0, 2 * kMin + 5 * kSec);
+    EXPECT_THROW(m.recordArrival(0, 0, 30 * kSec), std::logic_error);
 }
 
 // Regression companion: window-violation rates weight edge windows by
@@ -150,6 +186,8 @@ TEST_F(MetricsTest, OutOfRangeIdsThrow)
 {
     EXPECT_THROW(m.recordTierLatency(5, 0, 0, 1), std::out_of_range);
     EXPECT_THROW(m.recordEndToEnd(9, 0, 1), std::out_of_range);
+    EXPECT_THROW(m.recordArrival(2, 0, 0), std::out_of_range);
+    EXPECT_THROW(m.recordArrival(0, 2, 0), std::out_of_range);
     EXPECT_THROW(m.serviceName(3), std::out_of_range);
 }
 

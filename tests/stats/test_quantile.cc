@@ -209,22 +209,56 @@ TEST(SampleSetProperty, PercentileMonotone)
     }
 }
 
-// Property: percentileOf agrees with SampleSet on exact storage.
+// Property: on exact storage, percentile (a selection) and percentiles
+// (one sort) give the very double percentileOf (a full sort) gives.
 TEST(SampleSetProperty, AgreesWithVectorHelper)
 {
     Rng r(44);
-    for (int trial = 0; trial < 10; ++trial) {
-        SampleSet s;
-        std::vector<double> v;
-        const int n = 5 + int(r.uniformInt(100));
-        for (int i = 0; i < n; ++i) {
-            const double x = r.normal(0, 5);
-            s.add(x);
-            v.push_back(x);
+    // With n - 1 divisible by 8, p = 12.5, 25, 50 and 75 land on an
+    // exact rank; the other p values interpolate between two ranks.
+    const std::vector<double> ps = {0.0,  1.0,  12.5, 25.0, 33.3, 50.0,
+                                    75.0, 90.0, 99.0, 99.9, 100.0};
+    for (const int n : {1, 2, 3, 5, 9, 17, 100, 101, 1001, 4097, 10001}) {
+        for (const bool duplicates : {false, true}) {
+            SampleSet s;
+            std::vector<double> v;
+            for (int i = 0; i < n; ++i) {
+                const double x = duplicates
+                                     ? static_cast<double>(r.uniformInt(4))
+                                     : r.normal(0, 5);
+                s.add(x);
+                v.push_back(x);
+            }
+            std::vector<double> perP;
+            for (double p : ps) {
+                perP.push_back(s.percentile(p));
+                EXPECT_EQ(perP.back(), percentileOf(v, p))
+                    << "n=" << n << " duplicates=" << duplicates
+                    << " p=" << p;
+            }
+            EXPECT_EQ(s.percentiles(ps), perP) << "n=" << n;
         }
-        for (double p : {1.0, 25.0, 50.0, 75.0, 99.0})
-            EXPECT_DOUBLE_EQ(s.percentile(p), percentileOf(v, p));
     }
+}
+
+// A query never reorders samples(): reservoir replacement indexes into
+// it, so a query that selected or sorted in place would change which
+// sample every later add() overwrites.
+TEST(SampleSet, QueriesLeaveTheReservoirOrderAlone)
+{
+    SampleSet queried(64, 9), untouched(64, 9);
+    Rng r(55);
+    for (int i = 0; i < 1000; ++i) {
+        const double x = r.lognormal(10.0, 1.0);
+        queried.add(x);
+        untouched.add(x);
+        if (i == 500) {
+            EXPECT_EQ(queried.percentile(90.0),
+                      percentileOf(untouched.samples(), 90.0));
+            EXPECT_EQ(queried.percentiles({50.0, 99.0}).size(), 2u);
+        }
+    }
+    EXPECT_EQ(queried.samples(), untouched.samples());
 }
 
 TEST(EmpiricalCdf, BasicSteps)
