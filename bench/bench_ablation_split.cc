@@ -83,7 +83,9 @@ socialNetworkCpu()
     std::printf("-- CPU needed by the full Ursa model on the social "
                 "network\n");
     const apps::AppSpec app = makeApp(AppId::Social);
-    const auto profile = cachedProfile(app, "social", 2024);
+    const auto profile =
+        core::ExplorationController(paperExploration(2024))
+            .exploreApp(app);
 
     core::ModelInput input;
     input.profile = &profile;

@@ -59,7 +59,9 @@ main()
                 "low priority), 150 minutes in 5-minute windows.\n\n");
 
     const apps::AppSpec app = makeApp(AppId::VideoPipeline);
-    const auto profile = cachedProfile(app, "video_mix1", 2024);
+    const auto profile =
+        core::ExplorationController(paperExploration(2024))
+            .exploreApp(app);
     const auto slaVisits = core::computeSlaVisitCounts(app);
 
     Cluster cluster(777);

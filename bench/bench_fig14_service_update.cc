@@ -85,7 +85,9 @@ main()
     apps::AppSpec app = makeApp(AppId::Social);
     const double slaMs = sim::toMs(
         app.classes[app.classIndex("object-detect")].sla.targetUs);
-    core::AppProfile profile = cachedProfile(app, "social", 2024);
+    const core::AppProfile profile =
+        core::ExplorationController(paperExploration(2024))
+            .exploreApp(app);
 
     std::printf("== original service mesh (DETR-scale model)\n");
     const RunResult before = deployAndMeasure(app, profile, 811);

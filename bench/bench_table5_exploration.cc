@@ -39,18 +39,19 @@ main()
         double hours;
     };
     std::vector<Row> rows;
+    const core::ExplorationController explorer(paperExploration(2024));
 
     // Social network.
     {
         const auto app = makeApp(AppId::Social);
-        const auto prof = cachedProfile(app, "social", 2024);
+        const auto prof = explorer.exploreApp(app);
         rows.push_back({"Social", prof.totalSamples(),
                         sim::toSec(prof.wallClockExploreTime()) / 3600.0});
     }
     // Media service.
     {
         const auto app = makeApp(AppId::Media);
-        const auto prof = cachedProfile(app, "media", 2024);
+        const auto prof = explorer.exploreApp(app);
         rows.push_back({"Media", prof.totalSamples(),
                         sim::toSec(prof.wallClockExploreTime()) / 3600.0});
     }
@@ -61,11 +62,9 @@ main()
         int samples = 0;
         sim::SimTime serial = 0;
         const double fracs[] = {0.05, 0.25, 0.50, 0.75};
-        int i = 0;
         for (double frac : fracs) {
             const auto app = apps::makeVideoPipeline(frac);
-            const auto prof = cachedProfile(
-                app, "video_mix" + std::to_string(i++), 2024);
+            const auto prof = explorer.exploreApp(app);
             samples += prof.totalSamples();
             serial += prof.wallClockExploreTime();
         }

@@ -36,8 +36,9 @@ using namespace ursa::bench;
 namespace
 {
 
-/** Shared fixtures built once: a loaded social-network cluster with a
- * cached profile, a trained Sinan model, and Firm-style agents. */
+/** Shared fixtures built once: a loaded social-network cluster with
+ * its exploration profile, Sinan's training samples and trained model,
+ * and Firm-style agents. */
 struct Fixtures
 {
     apps::AppSpec app = makeApp(AppId::Social);
@@ -45,6 +46,7 @@ struct Fixtures
     std::unique_ptr<sim::Cluster> cluster;
     std::unique_ptr<sim::OpenLoopClient> client;
     std::unique_ptr<core::UrsaManager> manager;
+    std::vector<baselines::SinanSample> sinanSamples;
     std::unique_ptr<baselines::SinanModel> sinan;
     std::vector<double> sinanLoads;
     std::unique_ptr<ml::QAgent> firmAgent;
@@ -52,7 +54,8 @@ struct Fixtures
 
     Fixtures()
     {
-        profile = cachedProfile(app, "social", 2024);
+        profile = core::ExplorationController(paperExploration(2024))
+                      .exploreApp(app);
         cluster = std::make_unique<sim::Cluster>(42);
         app.instantiate(*cluster);
         manager = std::make_unique<core::UrsaManager>(*cluster, app,
@@ -65,10 +68,10 @@ struct Fixtures
         client->start(0);
         cluster->run(10 * sim::kMin); // populate metrics
 
-        const auto samples = cachedSinanSamples(app, "social", 500, 2024);
+        sinanSamples = collectSinanSamples(app, 500, 2024);
         sinan = std::make_unique<baselines::SinanModel>(
             app, benchSinanConfig(app, 2024));
-        sinan->train(samples);
+        sinan->train(sinanSamples);
         sinanLoads.assign(app.classes.size(), 0.0);
         for (std::size_t c = 0; c < app.classes.size(); ++c)
             sinanLoads[c] = app.nominalRps * app.exploreMix[c];
@@ -197,11 +200,10 @@ BM_Update_Sinan_FullRetrain(benchmark::State &state)
     // Sinan's update path is a full retrain over the dataset (the
     // paper lists it as N/A / minutes on a GPU).
     Fixtures &f = fixtures();
-    const auto samples = cachedSinanSamples(f.app, "social", 500, 2024);
     for (auto _ : state) {
         baselines::SinanModel model(f.app,
                                     benchSinanConfig(f.app, 2024));
-        model.train(samples);
+        model.train(f.sinanSamples);
         benchmark::DoNotOptimize(model.trained());
     }
 }

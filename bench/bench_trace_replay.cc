@@ -75,13 +75,20 @@ main()
                 scaled.meanRate(), toSec(scaled.duration()) / 60.0,
                 kScale);
 
+    // The offline artifacts, computed once for all five systems.
+    const auto profile =
+        core::ExplorationController(paperExploration(opts.seed))
+            .exploreApp(app);
+    const auto sinanSamples =
+        collectSinanSamples(app, opts.sinanSamples, opts.seed);
+
     const System systems[] = {System::Ursa, System::Sinan, System::Firm,
                               System::AutoA, System::AutoB};
     std::printf("%-8s %14s %12s %16s\n", "system", "SLA-viol rate",
                 "CPU cores", "decision us");
     for (const System s : systems) {
-        const CellResult r =
-            runTraceCell(s, AppId::Social, scaled, opts);
+        const CellResult r = runTraceCell(s, AppId::Social, scaled, profile,
+                                          sinanSamples, opts);
         std::printf("%-8s %13.1f%% %12.1f %16.1f\n", toString(s),
                     100.0 * r.violationRate, r.cpuCores,
                     r.decisionLatencyUs);

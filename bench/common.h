@@ -1,13 +1,12 @@
 /**
  * @file
  * Shared infrastructure for the reproduction benchmarks: paper-scale
- * exploration settings, on-disk caching of exploration profiles and
- * Sinan training data (so the expensive offline phases run once across
- * bench binaries), the 5-system deployment harness behind Figs. 11-12,
- * and small table-printing helpers.
+ * exploration settings, Sinan training-sample collection, the 5-system
+ * deployment harness behind Figs. 11-12, and small table-printing
+ * helpers.
  *
- * Cache files live under ./.ursa_cache (override with URSA_CACHE_DIR).
- * Delete the directory to force full recomputation.
+ * Nothing is stored between runs: every bench computes the profiles
+ * and samples it reads in the process that prints its results.
  */
 
 #ifndef URSA_BENCH_COMMON_H
@@ -19,62 +18,28 @@
 #include "core/profile.h"
 #include "workload/trace.h"
 
-#include <iosfwd>
 #include <optional>
-#include <string>
 #include <vector>
 
 namespace ursa::bench
 {
 
-/** Directory for cached artifacts (created on demand). */
-std::string cacheDir();
-
 /** Paper-scale exploration settings (1-minute windows, 10 per level). */
 core::ExplorationOptions paperExploration(std::uint64_t seed);
-
-/**
- * Exploration profile for an app, loaded from cache or computed (and
- * cached). `tag` names the cache entry. Thread-safe: concurrent calls
- * for the same tag compute the profile once.
- */
-core::AppProfile cachedProfile(const apps::AppSpec &app,
-                               const std::string &tag, std::uint64_t seed);
-
-/** Same, with explicit exploration settings instead of paper scale. */
-core::AppProfile cachedProfile(const apps::AppSpec &app,
-                               const std::string &tag,
-                               const core::ExplorationOptions &explore);
 
 /** Sinan config used across benches. */
 baselines::SinanConfig benchSinanConfig(const apps::AppSpec &app,
                                         std::uint64_t seed);
 
 /**
- * Sinan training samples for an app (collected on a dedicated cluster
- * under the canonical mix), cached on disk. `count` samples at the
- * config's interval.
+ * Sinan training samples for an app: `count` samples at the config's
+ * interval, collected on dedicated clusters under the canonical mix.
+ * The collection is split into a fixed 8 shards, so the samples are
+ * bit-identical for any URSA_THREADS.
  */
 std::vector<baselines::SinanSample>
-cachedSinanSamples(const apps::AppSpec &app, const std::string &tag,
-                   int count, std::uint64_t seed);
-
-/**
- * Read a Sinan sample cache: a "count features ratios" header, then one
- * line per sample of features, latency ratios and a 0/1 violation
- * flag. The header must declare exactly `count` samples,
- * `services + classes` features and `classes` ratios (checked before
- * anything is sized from it); every value must be finite, and nothing
- * may follow the last sample.
- * @throws std::runtime_error at the first mismatch or malformed value.
- */
-std::vector<baselines::SinanSample>
-readSinanSamples(std::istream &in, std::size_t count, std::size_t services,
-                 std::size_t classes);
-
-/** Write samples in the format readSinanSamples reads. */
-void writeSinanSamples(std::ostream &out,
-                       const std::vector<baselines::SinanSample> &samples);
+collectSinanSamples(const apps::AppSpec &app, int count,
+                    std::uint64_t seed);
 
 // --- the Fig. 11/12 deployment harness ------------------------------
 
@@ -133,7 +98,7 @@ struct PerfHarnessOptions
     int sinanSamples = 500;
     std::uint64_t seed = 2024;
     /**
-     * Exploration settings behind Ursa's cached profile; unset means
+     * Exploration settings behind Ursa's profile; unset means
      * paperExploration(seed). The determinism regression test dials
      * this down to keep a full grid run cheap.
      */
@@ -141,10 +106,13 @@ struct PerfHarnessOptions
 };
 
 /**
- * Run one deployment cell. Deterministic per (system, app, load,
- * opts.seed).
+ * Run one deployment cell. `profile` is the app's exploration profile
+ * (read by Ursa) and `sinanSamples` its Sinan training samples (read by
+ * Sinan). Deterministic per (system, app, load, opts.seed).
  */
 CellResult runCell(System system, AppId app, LoadKind load,
+                   const core::AppProfile &profile,
+                   const std::vector<baselines::SinanSample> &sinanSamples,
                    const PerfHarnessOptions &opts);
 
 /**
@@ -157,14 +125,16 @@ CellResult runCell(System system, AppId app, LoadKind load,
  */
 CellResult runTraceCell(System system, AppId app,
                         const workload::ArrivalTrace &trace,
+                        const core::AppProfile &profile,
+                        const std::vector<baselines::SinanSample> &sinanSamples,
                         const PerfHarnessOptions &opts);
 
 /**
- * All cells of the Fig. 11/12 grid, cached on disk so the two bench
- * binaries don't re-simulate. Row order: app-major, then load, then
- * system. Cells are independent simulations and run on the ursa::exec
- * pool (URSA_THREADS ways); the result is bit-identical for any
- * thread count.
+ * All cells of the Fig. 11/12 grid. Each app's profile and Sinan
+ * samples are computed once, then every cell of that app reads them.
+ * Row order: app-major, then load, then system. Cells are independent
+ * simulations and run on the ursa::exec pool (URSA_THREADS ways); the
+ * result is bit-identical for any thread count.
  */
 struct GridRow
 {
@@ -174,19 +144,6 @@ struct GridRow
     CellResult result;
 };
 std::vector<GridRow> performanceGrid(const PerfHarnessOptions &opts);
-
-/**
- * Read the grid's cache CSV: the header line, then one row per cell of
- * app, load and system indices, violation rate, CPU cores and decision
- * latency. Indices must be in range, values finite and non-negative,
- * and every (app, load, system) cell must appear exactly once. Rows
- * come back in performanceGrid's order.
- * @throws std::runtime_error at the first malformed or missing cell.
- */
-std::vector<GridRow> readGridCsv(std::istream &in);
-
-/** Write grid rows in the format readGridCsv reads. */
-void writeGridCsv(std::ostream &out, const std::vector<GridRow> &grid);
 
 /** The skewed mix of an app (factor applied to its update class). */
 std::vector<double> skewedMix(const apps::AppSpec &app, AppId id,

@@ -2,7 +2,6 @@
 
 #include "core/profile.h"
 #include "sim/time.h"
-#include "spec/app_spec.h"
 
 #include <algorithm>
 #include <cmath>
@@ -197,23 +196,6 @@ loadAppProfile(const std::string &path, bool &ok)
     } catch (const std::exception &) {
         return {};
     }
-}
-
-bool
-profileMatches(const AppProfile &profile, const spec::AppSpec &app)
-{
-    if (profile.services.size() != app.services.size())
-        return false;
-    for (std::size_t s = 0; s < app.services.size(); ++s) {
-        const ServiceProfile &svc = profile.services[s];
-        if (svc.serviceName != app.services[s].name)
-            return false;
-        for (const LprLevel &level : svc.levels)
-            if (level.loadPerReplica.size() != app.classes.size() ||
-                level.latency.size() != app.classes.size())
-                return false;
-    }
-    return true;
 }
 
 } // namespace ursa::core

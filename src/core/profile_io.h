@@ -1,16 +1,16 @@
 /**
  * @file
- * Plain-text serialization of exploration profiles, so the expensive
- * offline exploration runs once and every benchmark binary can reuse
- * its output — mirroring how a production deployment would persist
- * exploration data between controller restarts.
+ * Plain-text serialization of exploration profiles, the way a
+ * production deployment would persist exploration data between
+ * controller restarts. The pipeline benchmark reads its checked-in
+ * profile (perfbench/profiles/) through it, and its --make-profile
+ * mode writes one.
  */
 
 #ifndef URSA_CORE_PROFILE_IO_H
 #define URSA_CORE_PROFILE_IO_H
 
 #include "core/profile.h"
-#include "spec/app_spec.h"
 
 #include <iosfwd>
 #include <string>
@@ -38,12 +38,6 @@ AppProfile loadAppProfile(std::istream &in);
  * @param ok Set to whether the file existed and parsed.
  */
 AppProfile loadAppProfile(const std::string &path, bool &ok);
-
-/**
- * Whether `profile` describes `app`: the same service names in the
- * same order, and every explored level sized for the app's classes.
- */
-bool profileMatches(const AppProfile &profile, const spec::AppSpec &app);
 
 } // namespace ursa::core
 

@@ -102,18 +102,6 @@ WindowAggregator::add(std::int64_t time, double value)
     w.samples.add(value);
 }
 
-const WindowAggregator::Window *
-WindowAggregator::windowAt(std::int64_t time) const
-{
-    const std::int64_t start = windowStart(time, width_);
-    const auto it = std::lower_bound(
-        windows_.begin(), windows_.end(), start,
-        [](const Window &w, std::int64_t s) { return w.start < s; });
-    if (it == windows_.end() || it->start != start)
-        return nullptr;
-    return &*it;
-}
-
 std::vector<const WindowAggregator::Window *>
 WindowAggregator::lastWindowsBefore(std::int64_t time, std::size_t n) const
 {

@@ -97,12 +97,6 @@ class WindowAggregator
     const std::deque<Window> &windows() const { return windows_; }
 
     /**
-     * Pointer to the window covering `time`, or nullptr if no
-     * observation has created it.
-     */
-    const Window *windowAt(std::int64_t time) const;
-
-    /**
      * The last `n` windows strictly before `time` (most recent last);
      * fewer are returned if history is shorter.
      */

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <sstream>
 #include <string>
 
@@ -164,61 +163,27 @@ TEST(ProfileIo, RejectsNonFiniteNumbersAndNegativeReplicas)
                    "descending grid");
 }
 
-TEST(ProfileIo, MatchesRequiresServiceNamesInOrderAndClassCount)
-{
-    apps::AppSpec app;
-    app.services.resize(2);
-    app.services[0].name = "alpha";
-    app.services[1].name = "beta";
-    app.classes.resize(2);
-    const AppProfile prof = sampleProfile();
-    EXPECT_TRUE(profileMatches(prof, app));
-
-    auto swapped = app;
-    std::swap(swapped.services[0], swapped.services[1]);
-    EXPECT_FALSE(profileMatches(prof, swapped));
-    auto renamed = app;
-    renamed.services[1].name = "gamma";
-    EXPECT_FALSE(profileMatches(prof, renamed));
-    auto fewer = app;
-    fewer.services.pop_back();
-    EXPECT_FALSE(profileMatches(prof, fewer));
-    auto moreClasses = app;
-    moreClasses.classes.resize(3);
-    EXPECT_FALSE(profileMatches(prof, moreClasses));
-}
-
 TEST(ProfileIo, CheckedInProfilesLoadAndMatchTheirApps)
 {
-    namespace fs = std::filesystem;
-    const fs::path root = URSA_SOURCE_DIR;
-    const auto check = [](const fs::path &path, const apps::AppSpec &app) {
-        bool ok = false;
-        const AppProfile prof = loadAppProfile(path.string(), ok);
-        EXPECT_TRUE(ok) << path;
-        EXPECT_TRUE(profileMatches(prof, app)) << path;
-    };
-    check(root / "perfbench/profiles/social-network.txt",
-          apps::makeSocialNetwork());
-    // The bench cache is keyed by tag: profile_<tag>.txt.
-    const fs::path cache = root / ".ursa_cache";
-    if (!fs::is_directory(cache))
-        return;
-    for (const auto &entry : fs::directory_iterator(cache)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("profile_", 0) != 0)
-            continue;
-        const std::string tag = name.substr(8, name.size() - 12);
-        if (tag == "social")
-            check(entry.path(), apps::makeSocialNetwork());
-        else if (tag == "vanilla-social")
-            check(entry.path(), apps::makeSocialNetwork(true));
-        else if (tag == "media")
-            check(entry.path(), apps::makeMediaService());
-        else if (tag.rfind("video", 0) == 0)
-            check(entry.path(), apps::makeVideoPipeline());
-        else
-            ADD_FAILURE() << "no app for cached profile " << name;
+    // perfbench's checked-in profile must describe the social network:
+    // the same service names in order, every level sized for its
+    // classes.
+    const std::string path =
+        URSA_SOURCE_DIR "/perfbench/profiles/social-network.txt";
+    const apps::AppSpec app = apps::makeSocialNetwork();
+    bool ok = false;
+    const AppProfile prof = loadAppProfile(path, ok);
+    ASSERT_TRUE(ok) << path;
+    ASSERT_EQ(prof.services.size(), app.services.size());
+    for (std::size_t s = 0; s < app.services.size(); ++s) {
+        const ServiceProfile &svc = prof.services[s];
+        EXPECT_EQ(svc.serviceName, app.services[s].name);
+        for (const LprLevel &level : svc.levels) {
+            EXPECT_EQ(level.loadPerReplica.size(), app.classes.size())
+                << svc.serviceName;
+            EXPECT_EQ(level.latency.size(), app.classes.size())
+                << svc.serviceName;
+        }
     }
 }
 

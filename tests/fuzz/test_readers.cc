@@ -1,19 +1,16 @@
 /**
  * @file
  * Seeded mutation fuzz over the on-disk readers: exploration profiles
- * (core::loadAppProfile), CSV traces (workload::parseTraceCsvString),
- * and the bench caches of Sinan training samples
- * (bench::readSinanSamples) and the Fig. 11/12 grid
- * (bench::readGridCsv). Each starts from a valid checked-in file and
- * feeds it a few thousand deterministic mutants: byte flips,
- * truncations, duplicated and deleted lines, and counts or fields
- * replaced by huge, negative or non-numeric values. A mutant must
+ * (core::loadAppProfile) and CSV traces (workload::parseTraceCsvString).
+ * Each starts from a valid checked-in file and feeds it a few thousand
+ * deterministic mutants: byte flips, truncations, duplicated and
+ * deleted lines, and counts or fields replaced by huge, negative or
+ * non-numeric values. A mutant must
  * either load and round-trip through the matching writer, or be
  * rejected the way the reader documents. Any other exception fails the
  * test; a crash or a hang (the ctest timeout) fails the binary.
  */
 
-#include "common.h"
 #include "core/profile_io.h"
 #include "stats/rng.h"
 #include "workload/csv.h"
@@ -33,9 +30,6 @@ namespace
 using namespace ursa;
 
 constexpr int kMutants = 3000;
-/// The Sinan cache is 15x the profile's size, and each mutant
-/// re-parses all of it; a third of the mutants keeps the run short.
-constexpr int kSinanMutants = kMutants / 3;
 
 /** Replacements for a count or field: past every bound, negative,
  * past the range of any integer type, or not a number at all. */
@@ -217,63 +211,19 @@ csvParses(const std::string &text)
     return true;
 }
 
-/** Whether the Sinan cache loaded; a loaded one must round-trip. */
-bool
-sinanLoads(const std::string &text)
-{
-    static const apps::AppSpec app = bench::makeApp(bench::AppId::Social);
-    const auto read = [](const std::string &from) {
-        std::istringstream in(from);
-        return bench::readSinanSamples(in, 500, app.services.size(),
-                                       app.classes.size());
-    };
-    std::vector<baselines::SinanSample> samples;
-    try {
-        samples = read(text);
-    } catch (const std::runtime_error &) {
-        return false;
-    }
-    std::ostringstream once;
-    bench::writeSinanSamples(once, samples);
-    std::ostringstream twice;
-    bench::writeSinanSamples(twice, read(once.str()));
-    EXPECT_EQ(once.str(), twice.str());
-    return true;
-}
-
-/** Whether the grid cache loaded; a loaded one must round-trip. */
-bool
-gridLoads(const std::string &text)
-{
-    std::vector<bench::GridRow> grid;
-    try {
-        std::istringstream in(text);
-        grid = bench::readGridCsv(in);
-    } catch (const std::runtime_error &) {
-        return false;
-    }
-    std::ostringstream once;
-    bench::writeGridCsv(once, grid);
-    std::istringstream back(once.str());
-    std::ostringstream twice;
-    bench::writeGridCsv(twice, bench::readGridCsv(back));
-    EXPECT_EQ(once.str(), twice.str());
-    return true;
-}
-
-/** Runs `mutants` mutants of `base` through `accepts`; returns how
+/** Runs kMutants mutants of `base` through `accepts`; returns how
  * many were accepted and rejected, failing on any other exception. */
 template <typename Accepts>
 std::pair<int, int>
 fuzz(const std::string &base, const std::vector<Span> &targets,
      const std::string &separators, std::uint64_t seed, Accepts accepts,
-     bool targetsMustReject, int mutants = kMutants)
+     bool targetsMustReject)
 {
     const std::vector<Span> tokens = tokenSpans(base, separators);
     const std::vector<Span> lines = lineSpans(base);
     stats::Rng rng(seed);
     int accepted = 0, rejected = 0;
-    for (int i = 0; i < mutants; ++i) {
+    for (int i = 0; i < kMutants; ++i) {
         const auto kind = static_cast<Mutation>(
             i % static_cast<int>(Mutation::Count));
         const std::string text =
@@ -332,50 +282,6 @@ TEST(ReaderFuzz, CsvMutantsRoundTripOrReportAnError)
     // line is legal), so only the round trip is required of it.
     const auto [accepted, rejected] =
         fuzz(base, fields, ",\n", 0xc5f, csvParses, false);
-    EXPECT_GT(accepted, 0);
-    EXPECT_GT(rejected, 0);
-    EXPECT_EQ(accepted + rejected, kMutants);
-}
-
-TEST(ReaderFuzz, SinanSampleMutantsRoundTripOrThrowRuntimeError)
-{
-    const std::string base =
-        readFile(URSA_SOURCE_DIR "/.ursa_cache/sinan_social.txt");
-    ASSERT_TRUE(sinanLoads(base));
-    // Targets: the three header counts. Each must match what the caller
-    // expects, so every hostile count is rejected before it sizes a
-    // vector.
-    const auto tokens = tokenSpans(base, " \n");
-    ASSERT_GE(tokens.size(), 3u);
-    const std::vector<Span> counts(tokens.begin(), tokens.begin() + 3);
-    const auto [accepted, rejected] =
-        fuzz(base, counts, " \n", 0x51a4, sinanLoads, true, kSinanMutants);
-    EXPECT_GT(accepted, 0);
-    EXPECT_GT(rejected, 0);
-    EXPECT_EQ(accepted + rejected, kSinanMutants);
-}
-
-TEST(ReaderFuzz, GridMutantsRoundTripOrThrowRuntimeError)
-{
-    const std::string base =
-        readFile(URSA_SOURCE_DIR "/.ursa_cache/perf_grid_2024_30.csv");
-    ASSERT_TRUE(gridLoads(base));
-    // Targets: the app, load and system index of every data row. A
-    // hostile index is out of range or not an integer, and a row that
-    // loses its cell leaves the grid incomplete.
-    std::vector<Span> cells;
-    const auto lines = lineSpans(base);
-    ASSERT_EQ(lines.size(), 101u); // header + 4 apps x 5 loads x 5 systems
-    for (std::size_t i = 1; i < lines.size(); ++i) {
-        const Span line = lines[i];
-        const auto fields = tokenSpans(
-            base.substr(line.first, line.second - line.first), ",\n");
-        for (std::size_t f = 0; f < 3; ++f)
-            cells.emplace_back(line.first + fields[f].first,
-                               line.first + fields[f].second);
-    }
-    const auto [accepted, rejected] =
-        fuzz(base, cells, ",\n", 0x9e1d, gridLoads, true);
     EXPECT_GT(accepted, 0);
     EXPECT_GT(rejected, 0);
     EXPECT_EQ(accepted + rejected, kMutants);

@@ -87,18 +87,6 @@ TEST(WindowAggregator, SkipsEmptyWindows)
     EXPECT_EQ(agg.windows()[1].start, 90);
 }
 
-TEST(WindowAggregator, WindowAtLookup)
-{
-    WindowAggregator agg(10);
-    agg.add(5, 1.0);
-    agg.add(25, 2.0);
-    ASSERT_NE(agg.windowAt(7), nullptr);
-    EXPECT_EQ(agg.windowAt(7)->start, 0);
-    EXPECT_EQ(agg.windowAt(15), nullptr);
-    ASSERT_NE(agg.windowAt(29), nullptr);
-    EXPECT_EQ(agg.windowAt(29)->start, 20);
-}
-
 TEST(WindowAggregator, LastWindowsBefore)
 {
     WindowAggregator agg(10);
