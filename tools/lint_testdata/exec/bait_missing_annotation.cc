@@ -12,3 +12,11 @@ struct Racy
     ursa::base::Mutex unrefMu_;   // ursa-lint-test: expect(missing-annotation)
     std::atomic<int> counter_{0}; // ursa-lint-test: expect(missing-annotation)
 };
+
+// A raw std::mutex is flagged wherever it is spelled, not only as a
+// member: as a parameter type and as a guard's template argument.
+void
+lockRaw(std::mutex &raw) // ursa-lint-test: expect(missing-annotation)
+{
+    std::lock_guard<std::mutex> lock(raw); // ursa-lint-test: expect(missing-annotation)
+}

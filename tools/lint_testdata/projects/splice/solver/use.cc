@@ -1,19 +1,19 @@
-// Backslash-newline splices: a dead include spelled across a splice
-// must still resolve (and still count as dead, reported at the
-// directive's ENDING line); an identifier spliced mid-name must still
-// bind to its provider, keeping that include alive.
+// Backslash-newline splices: an #include spelled across a splice must
+// still resolve (here to an upward layer edge, reported at the
+// directive's ENDING line), and an identifier spliced mid-name must
+// still reform into one token (reported at the line it ends on).
 #include \
-    "solver/dep.h" // ursa-lint-test: expect(include-hygiene)
-#include "solver/limits.h"
+    "apps/view.h" // ursa-lint-test: expect(layer-violation)
 
 namespace solver
 {
 
 int
-cap()
+rows(const View &v)
 {
-    return spli\
-ceLimit + 1;
+    ass\
+ert(v.rows >= 0); // ursa-lint-test: expect(bare-assert)
+    return v.rows;
 }
 
 } // namespace solver

@@ -63,8 +63,8 @@ struct CallGraph
 {
     /// Global function table in deterministic order: files are sorted
     /// by path (pass 1) and definitions appear in token order, so node
-    /// ids — and everything derived from them — are byte-stable at any
-    /// URSA_THREADS.
+    /// ids — and everything derived from them — are byte-stable from
+    /// run to run.
     std::vector<CgNode> nodes;
 
     const FuncDef &

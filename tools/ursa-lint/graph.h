@@ -2,14 +2,11 @@
  * @file
  * Small directed-graph utility for the whole-project lint pass.
  *
- * Both cross-file analyses reduce to cycle questions on a digraph:
  * `layer-cycle` asks whether the file include graph has a strongly
- * connected component larger than one file, and `lock-order` asks the
- * same of the global lock-acquisition-order graph. Nodes are interned
- * strings (file paths, normalized lock expressions); Tarjan's
- * algorithm yields the SCC decomposition in one pass, and
- * `cycleThrough` reconstructs a concrete witness path for the
- * diagnostic message.
+ * connected component larger than one file. Nodes are interned
+ * strings (file paths); Tarjan's algorithm yields the SCC
+ * decomposition in one pass, and `cycleThrough` reconstructs a
+ * concrete witness path for the diagnostic message.
  */
 
 #ifndef URSA_TOOLS_LINT_GRAPH_H

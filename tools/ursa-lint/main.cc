@@ -6,16 +6,12 @@
  *
  * Modes:
  *   ursa-lint --root <dir> [--format text|sarif]
- *       lint a source tree: pass 1 lexes and indexes every file in
- *       parallel (ursa::exec::parallelMap, URSA_THREADS), pass 2 runs
- *       the cross-file rules (layer graph, lock order, include
- *       hygiene) over the assembled project model, pass 3 links the
- *       per-file function tables into a project call graph and runs
- *       the interprocedural rules (sim-nondeterminism,
- *       blocking-in-sim, unbounded-recursion) with witness chains
- *   ursa-lint --root <dir> --fix | --fix-dry-run
- *       mechanically delete dead includes flagged by include-hygiene
- *       (--fix rewrites the files; --fix-dry-run prints the diff)
+ *       lint a source tree: pass 1 lexes and indexes every file, pass
+ *       2 runs the cross-file layer rules over the assembled project
+ *       model, pass 3 links the per-file function tables into a
+ *       project call graph and runs the interprocedural rules
+ *       (sim-nondeterminism, blocking-in-sim, unbounded-recursion)
+ *       with witness chains
  *   ursa-lint --self-test --testdata <dir>
  *       run the bait/clean fixtures, including the multi-file fixture
  *       projects under <dir>/projects/
@@ -38,8 +34,9 @@
  * line fails the self-test, so both false negatives and false
  * positives are pinned. Each directory under <testdata>/projects/ is
  * one fixture *project*: its files are linted together through the
- * whole-project pass, so cross-file baits (an include cycle, an AB/BA
- * lock inversion split across two TUs) can be pinned the same way.
+ * whole-project pass, so cross-file baits (an include cycle, a call
+ * chain that reaches a wall clock) can be pinned the same way. Every
+ * catalogue rule must have at least one bait that fires.
  *
  * Exit status: 0 clean, 1 violations/self-test failure, 2 usage error.
  */
@@ -48,8 +45,6 @@
 #include "output.h"
 #include "project_rules.h"
 #include "rules.h"
-
-#include "exec/thread_pool.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -116,130 +111,8 @@ readFile(const fs::path &p, std::string &out)
     return true;
 }
 
-/** Result of pass 1 for one file (parallel unit; index-ordered). */
-struct ScannedFile
-{
-    FileModel model;
-    std::vector<Violation> violations; ///< per-file rules only
-    bool readError = false;
-};
-
-/**
- * Pass 1: read + lex + index + per-file lint every file, in parallel.
- * Each index owns its slot, so results are position-stable and the
- * merged output is byte-identical to a sequential scan for any
- * URSA_THREADS.
- */
-std::vector<ScannedFile>
-scanFiles(const fs::path &root, const std::vector<std::string> &files)
-{
-    return ursa::exec::parallelMap<ScannedFile>(
-        files.size(), [&](std::size_t i) {
-            ScannedFile sf;
-            std::string source;
-            if (!readFile(root / files[i], source)) {
-                sf.readError = true;
-                return sf;
-            }
-            sf.model = ursa::lint::buildFileModel(files[i], source);
-            sf.violations =
-                ursa::lint::lintFileLexed(files[i], sf.model.lx);
-            return sf;
-        });
-}
-
-/**
- * The mechanically fixable subset of `kept`: include-hygiene dead
- * includes (flavor (a) — the message starts `include "`). Transitive
- * leaks need a new include line whose placement is a judgement call,
- * so they stay manual.
- */
-std::map<std::string, std::vector<int>>
-fixableDeadIncludes(const std::vector<Violation> &kept)
-{
-    std::map<std::string, std::vector<int>> byFile;
-    for (const Violation &v : kept)
-        if (v.rule == "include-hygiene" &&
-            v.message.rfind("include \"", 0) == 0)
-            byFile[v.path].push_back(v.line);
-    for (auto &[path, lines] : byFile) {
-        std::sort(lines.begin(), lines.end());
-        lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-    }
-    return byFile;
-}
-
-/** Split keeping no terminators; `hadFinalNewline` restores the tail. */
-std::vector<std::string>
-splitLines(const std::string &s, bool &hadFinalNewline)
-{
-    std::vector<std::string> lines;
-    std::string cur;
-    for (const char c : s) {
-        if (c == '\n') {
-            lines.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    hadFinalNewline = cur.empty() && !s.empty();
-    if (!hadFinalNewline)
-        lines.push_back(cur);
-    return lines;
-}
-
-/**
- * Delete dead-include lines. In dry-run mode print a minimal unified
- * diff of what --fix would do; otherwise rewrite the files in place.
- * Returns the number of lines removed (0 on I/O trouble, reported).
- */
-std::size_t
-applyIncludeFixes(const fs::path &root,
-                  const std::map<std::string, std::vector<int>> &byFile,
-                  bool dryRun)
-{
-    std::size_t removed = 0;
-    for (const auto &[rel, lines] : byFile) {
-        std::string source;
-        if (!readFile(root / rel, source)) {
-            std::fprintf(stderr, "error: cannot re-read %s for --fix\n",
-                         rel.c_str());
-            continue;
-        }
-        bool finalNl = false;
-        std::vector<std::string> text = splitLines(source, finalNl);
-        if (dryRun) {
-            std::printf("--- a/%s\n+++ b/%s\n", rel.c_str(), rel.c_str());
-            for (const int line : lines) {
-                if (line < 1 || line > static_cast<int>(text.size()))
-                    continue;
-                std::printf("@@ -%d,1 +%d,0 @@\n-%s\n", line, line - 1,
-                            text[static_cast<std::size_t>(line - 1)]
-                                .c_str());
-                ++removed;
-            }
-            continue;
-        }
-        for (auto it = lines.rbegin(); it != lines.rend(); ++it) {
-            if (*it < 1 || *it > static_cast<int>(text.size()))
-                continue;
-            text.erase(text.begin() + (*it - 1));
-            ++removed;
-        }
-        std::ofstream out(root / rel, std::ios::binary | std::ios::trunc);
-        for (std::size_t i = 0; i < text.size(); ++i) {
-            out << text[i];
-            if (i + 1 < text.size() || finalNl)
-                out << '\n';
-        }
-    }
-    return removed;
-}
-
 int
-lintTree(const std::string &rootArg, const std::string &format, bool fix,
-         bool fixDryRun)
+lintTree(const std::string &rootArg, const std::string &format)
 {
     const fs::path root(rootArg);
     if (!fs::is_directory(root)) {
@@ -248,20 +121,22 @@ lintTree(const std::string &rootArg, const std::string &format, bool fix,
         return 2;
     }
     const std::vector<std::string> files = collectFiles(root);
-    std::vector<ScannedFile> scanned = scanFiles(root, files);
 
+    // Pass 1: read, lex, index and per-file lint every file in order.
     std::vector<Violation> all;
     std::vector<FileModel> models;
-    models.reserve(scanned.size());
-    for (std::size_t i = 0; i < scanned.size(); ++i) {
-        if (scanned[i].readError) {
-            std::fprintf(stderr, "error: cannot read %s\n",
-                         files[i].c_str());
+    models.reserve(files.size());
+    for (const std::string &rel : files) {
+        std::string source;
+        if (!readFile(root / rel, source)) {
+            std::fprintf(stderr, "error: cannot read %s\n", rel.c_str());
             return 2;
         }
-        all.insert(all.end(), scanned[i].violations.begin(),
-                   scanned[i].violations.end());
-        models.push_back(std::move(scanned[i].model));
+        FileModel fm = ursa::lint::buildFileModel(rel, source);
+        const std::vector<Violation> perFile =
+            ursa::lint::lintFileLexed(rel, fm.lx);
+        all.insert(all.end(), perFile.begin(), perFile.end());
+        models.push_back(std::move(fm));
     }
 
     // Pass 2: cross-file rules over the whole-project model.
@@ -271,47 +146,12 @@ lintTree(const std::string &rootArg, const std::string &format, bool fix,
     all.insert(all.end(), cross.begin(), cross.end());
     ursa::lint::sortViolations(all);
 
-    if (fix || fixDryRun) {
-        const std::map<std::string, std::vector<int>> byFile =
-            fixableDeadIncludes(all);
-        const std::size_t removed =
-            applyIncludeFixes(root, byFile, /*dryRun=*/fixDryRun);
-        if (fixDryRun) {
-            std::fprintf(stderr,
-                         "ursa-lint: --fix would remove %zu dead "
-                         "include(s) in %zu file(s)\n",
-                         removed, byFile.size());
-        } else {
-            std::fprintf(stderr,
-                         "ursa-lint: removed %zu dead include(s) in %zu "
-                         "file(s)\n",
-                         removed, byFile.size());
-            // The fixed findings are gone from disk; report the rest.
-            all.erase(std::remove_if(
-                           all.begin(), all.end(),
-                           [&](const Violation &v) {
-                               const auto it = byFile.find(v.path);
-                               return it != byFile.end() &&
-                                      v.rule == "include-hygiene" &&
-                                      v.message.rfind("include \"", 0) ==
-                                          0 &&
-                                      std::find(it->second.begin(),
-                                                it->second.end(),
-                                                v.line) !=
-                                          it->second.end();
-                           }),
-                       all.end());
-        }
-    }
-
     if (format == "sarif") {
         std::fputs(ursa::lint::formatSarif(all, rootArg).c_str(), stdout);
     } else {
         std::fputs(ursa::lint::formatText(all, rootArg).c_str(), stdout);
         if (all.empty())
-            std::printf("ursa-lint: clean (%zu files, %zu cross-file "
-                        "edges checked)\n",
-                        files.size(), pm.files.size());
+            std::printf("ursa-lint: clean (%zu files)\n", files.size());
     }
     if (!all.empty()) {
         std::fprintf(stderr, "ursa-lint: %zu violation(s)\n", all.size());
@@ -371,14 +211,15 @@ parseDirectives(const std::string &rel,
 /**
  * Check one fixture unit: `got` violations (paths relative to the
  * fixture root, `prefix` restores testdata-relative naming) against
- * the per-file expectations.
+ * the per-file expectations. Fired baits are tallied per rule.
  */
 void
 checkExpectations(const std::string &prefix,
                   const std::map<std::string, std::vector<Expectation>>
                       &expectsByFile,
                   const std::vector<Violation> &got,
-                  std::size_t &fired, std::size_t &suppressedQuiet,
+                  std::map<std::string, std::size_t> &firedByRule,
+                  std::size_t &suppressedQuiet,
                   std::vector<std::string> &failures)
 {
     auto found = [&](const std::string &path, const Expectation &e) {
@@ -396,8 +237,10 @@ checkExpectations(const std::string &prefix,
                 failures.push_back("suppression " + prefix + path + ":" +
                                    std::to_string(e.line) +
                                    " failed to silence [" + e.rule + "]");
+            else if (e.mustFire)
+                ++firedByRule[e.rule];
             else
-                ++(e.mustFire ? fired : suppressedQuiet);
+                ++suppressedQuiet;
         }
     for (const Violation &v : got) {
         const auto it = expectsByFile.find(v.path);
@@ -425,7 +268,8 @@ selfTest(const std::string &testdataArg)
         return 2;
     }
     std::vector<std::string> failures;
-    std::size_t fired = 0, suppressedQuiet = 0, files = 0, projects = 0;
+    std::map<std::string, std::size_t> firedByRule;
+    std::size_t suppressedQuiet = 0, files = 0, projects = 0;
 
     // Partition: projects/<name>/... are whole-project fixtures, the
     // rest are single-file fixtures.
@@ -454,7 +298,7 @@ selfTest(const std::string &testdataArg)
         std::map<std::string, std::vector<Expectation>> expects;
         expects[rel] = parseDirectives(rel, lx.comments, failures);
         checkExpectations("", expects,
-                          ursa::lint::lintFileLexed(rel, lx), fired,
+                          ursa::lint::lintFileLexed(rel, lx), firedByRule,
                           suppressedQuiet, failures);
     }
 
@@ -484,12 +328,22 @@ selfTest(const std::string &testdataArg)
             ursa::lint::buildProjectModel(std::move(models));
         const std::vector<Violation> cross = ursa::lint::lintProject(pm);
         got.insert(got.end(), cross.begin(), cross.end());
-        checkExpectations(prefix, expects, got, fired, suppressedQuiet,
-                          failures);
+        checkExpectations(prefix, expects, got, firedByRule,
+                          suppressedQuiet, failures);
     }
 
     if (files == 0)
         failures.push_back("no fixture files under " + testdataArg);
+    // A rule whose last bait was deleted is a rule nothing tests.
+    std::size_t fired = 0;
+    for (const ursa::lint::RuleInfo &r : ursa::lint::ruleCatalogue()) {
+        const auto it = firedByRule.find(r.id);
+        if (it == firedByRule.end())
+            failures.push_back(std::string("rule ") + r.id +
+                               " has no firing bait");
+        else
+            fired += it->second;
+    }
     if (!failures.empty()) {
         std::sort(failures.begin(), failures.end());
         for (const std::string &f : failures)
@@ -510,7 +364,6 @@ main(int argc, char **argv)
 {
     std::string root, testdata, format = "text";
     bool selfTestMode = false, listRules = false;
-    bool fix = false, fixDryRun = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--root" && i + 1 < argc)
@@ -521,10 +374,6 @@ main(int argc, char **argv)
             format = argv[++i];
         else if (arg.rfind("--format=", 0) == 0)
             format = arg.substr(9);
-        else if (arg == "--fix")
-            fix = true;
-        else if (arg == "--fix-dry-run")
-            fixDryRun = true;
         else if (arg == "--self-test")
             selfTestMode = true;
         else if (arg == "--list-rules")
@@ -532,8 +381,7 @@ main(int argc, char **argv)
         else {
             std::fprintf(
                 stderr,
-                "usage: ursa-lint --root <dir> [--format text|sarif] "
-                "[--fix | --fix-dry-run]\n"
+                "usage: ursa-lint --root <dir> [--format text|sarif]\n"
                 "     | ursa-lint --self-test --testdata <dir>\n"
                 "     | ursa-lint --list-rules [--format markdown]\n");
             return 2;
@@ -567,5 +415,5 @@ main(int argc, char **argv)
         std::fprintf(stderr, "error: --root is required (or --self-test)\n");
         return 2;
     }
-    return lintTree(root, format, fix, fixDryRun);
+    return lintTree(root, format);
 }

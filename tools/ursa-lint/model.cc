@@ -1,6 +1,7 @@
 #include "model.h"
 
 #include <algorithm>
+#include <set>
 
 namespace ursa::lint
 {
@@ -8,8 +9,7 @@ namespace ursa::lint
 namespace
 {
 
-/// Keywords and contextual words the symbol indexer must never record
-/// as a defined name.
+/// Keywords and contextual words that never name a function or scope.
 const std::set<std::string> kKeywords = {
     "alignas",      "alignof",      "asm",          "auto",
     "bool",         "break",        "case",         "catch",
@@ -39,523 +39,22 @@ isKeyword(const std::string &s)
     return kKeywords.count(s) > 0;
 }
 
-// --- scope-aware symbol indexing ----------------------------------------
-
+/// What a `{` opens, as FuncScanner classifies it.
 enum class ScopeKind
 {
     Namespace, ///< namespace body (or the top level)
     Type,      ///< class/struct/union body
-    Enum,      ///< enum body: bare identifiers are enumerators
-    Function,  ///< function/lambda body: declarations are locals
-    Other      ///< initializer lists, extern "C", unknown braces
+    Enum,      ///< enum body
+    Function,  ///< function body (the braces nested in it are Other)
+    Other      ///< blocks, lambdas, initializer lists, unknown braces
 };
 
-class SymbolIndexer
-{
-  public:
-    SymbolIndexer(const LexedFile &lx, FileModel &out) : t_(lx.tokens),
-                                                         out_(out) {}
-
-    void
-    run()
-    {
-        for (std::size_t i = 0; i < t_.size(); ++i) {
-            if (punct(i, '{')) {
-                scopes_.push_back(classifyBrace(i));
-                continue;
-            }
-            if (punct(i, '}')) {
-                if (!scopes_.empty())
-                    scopes_.pop_back();
-                continue;
-            }
-            if (punct(i, '('))
-                ++paren_;
-            else if (punct(i, ')') && paren_ > 0)
-                --paren_;
-            if (t_[i].kind == TokenKind::Identifier)
-                out_.idents.insert(t_[i].text);
-            // #define NAME — visible to includers regardless of scope.
-            if (punct(i, '#') && ident(i + 1, "define") &&
-                isName(i + 2)) {
-                record(t_[i + 2].text, /*anchor=*/true);
-                i += 2;
-                continue;
-            }
-            // Inside a paren group (parameter list, call arguments,
-            // macro invocation) nothing introduces a scope-visible
-            // name — skips `opts` in `f(const Options &opts = {})`.
-            if (paren_ > 0 || !recording())
-                continue;
-            if (t_[i].kind != TokenKind::Identifier)
-                continue;
-            const std::string &w = t_[i].text;
-            if (w == "class" || w == "struct" || w == "union" ||
-                w == "enum") {
-                recordTagName(i);
-                continue;
-            }
-            if (w == "using" && isName(i + 1) && punct(i + 2, '=')) {
-                record(t_[i + 1].text, /*anchor=*/true);
-                continue;
-            }
-            if (w == "typedef") {
-                recordBeforeSemi(i + 1);
-                continue;
-            }
-            if (isKeyword(w))
-                continue;
-            recordDeclarator(i);
-        }
-    }
-
-  private:
-    bool
-    punct(std::size_t i, char c) const
-    {
-        return i < t_.size() && t_[i].kind == TokenKind::Punct &&
-               t_[i].text[0] == c;
-    }
-
-    bool
-    ident(std::size_t i, const char *text) const
-    {
-        return i < t_.size() && t_[i].kind == TokenKind::Identifier &&
-               t_[i].text == text;
-    }
-
-    bool
-    isName(std::size_t i) const
-    {
-        return i < t_.size() && t_[i].kind == TokenKind::Identifier &&
-               !isKeyword(t_[i].text);
-    }
-
-    ScopeKind
-    scope() const
-    {
-        return scopes_.empty() ? ScopeKind::Namespace : scopes_.back();
-    }
-
-    bool
-    recording() const
-    {
-        const ScopeKind s = scope();
-        return s == ScopeKind::Namespace || s == ScopeKind::Type ||
-               s == ScopeKind::Enum;
-    }
-
-    void
-    record(const std::string &name, bool anchor)
-    {
-        out_.provides.insert(name);
-        if (anchor)
-            out_.anchors.insert(name);
-    }
-
-    /**
-     * Classify the brace opening at `at` by scanning the tokens of
-     * its introducing "statement" (back to the previous ;/{/}).
-     */
-    ScopeKind
-    classifyBrace(std::size_t at) const
-    {
-        if (!recording())
-            return scope() == ScopeKind::Function ? ScopeKind::Function
-                                                  : ScopeKind::Other;
-        bool sawEnum = false, sawTag = false, sawNamespace = false,
-             sawAssign = false;
-        std::size_t begin = at;
-        while (begin > 0) {
-            const Token &p = t_[begin - 1];
-            if (p.kind == TokenKind::Punct &&
-                (p.text[0] == ';' || p.text[0] == '{' || p.text[0] == '}'))
-                break;
-            --begin;
-        }
-        for (std::size_t j = begin; j < at; ++j) {
-            if (t_[j].kind == TokenKind::Identifier) {
-                if (t_[j].text == "enum")
-                    sawEnum = true;
-                else if (t_[j].text == "class" || t_[j].text == "struct" ||
-                         t_[j].text == "union")
-                    sawTag = true;
-                else if (t_[j].text == "namespace")
-                    sawNamespace = true;
-            } else if (punct(j, '=')) {
-                sawAssign = true;
-            }
-        }
-        if (sawEnum)
-            return ScopeKind::Enum;
-        if (sawNamespace)
-            return ScopeKind::Namespace;
-        if (sawAssign)
-            return ScopeKind::Other; // braced initializer
-        if (sawTag)
-            return ScopeKind::Type;
-        if (at == begin)
-            return ScopeKind::Other; // `{` opening a bare block
-        // `...) [qualifiers] {` is a function body.
-        for (std::size_t j = at; j > begin; --j) {
-            const Token &p = t_[j - 1];
-            if (p.kind == TokenKind::Punct) {
-                if (p.text[0] == ')')
-                    return ScopeKind::Function;
-                continue; // e.g. the > of a trailing return type
-            }
-            if (p.kind == TokenKind::Identifier &&
-                (p.text == "const" || p.text == "noexcept" ||
-                 p.text == "override" || p.text == "final" ||
-                 p.text == "mutable" || p.text == "try" ||
-                 p.text.rfind("URSA_", 0) == 0))
-                continue;
-            break;
-        }
-        return ScopeKind::Other;
-    }
-
-    /** `class|struct|union|enum ... Name [:{;]` — record Name. */
-    void
-    recordTagName(std::size_t kw)
-    {
-        std::size_t j = kw + 1;
-        const Token *last = nullptr;
-        for (; j < t_.size(); ++j) {
-            if (t_[j].kind == TokenKind::Punct &&
-                (t_[j].text[0] == '{' || t_[j].text[0] == ';' ||
-                 t_[j].text[0] == ':' || t_[j].text[0] == '<'))
-                break;
-            if (isName(j))
-                last = &t_[j];
-        }
-        if (last)
-            record(last->text, /*anchor=*/true);
-    }
-
-    /** `typedef ... Name ;` — record the identifier before `;`. */
-    void
-    recordBeforeSemi(std::size_t from)
-    {
-        const Token *last = nullptr;
-        for (std::size_t j = from; j < t_.size(); ++j) {
-            if (punct(j, ';') || punct(j, '{'))
-                break;
-            if (isName(j))
-                last = &t_[j];
-        }
-        if (last)
-            record(last->text, /*anchor=*/true);
-    }
-
-    /**
-     * A non-keyword identifier at namespace/type/enum scope. Record it
-     * when its following token makes it a plausible declared name:
-     * `(` (function/method), `=`/`;`/`[`/`{` after another name-ish
-     * token (variable/field), `,`/`=`/`}` inside an enum body
-     * (enumerator), or a trailing URSA_* annotation macro (annotated
-     * field).
-     */
-    void
-    recordDeclarator(std::size_t i)
-    {
-        const bool nsScope = scope() == ScopeKind::Namespace;
-        if (scope() == ScopeKind::Enum) {
-            if (punct(i + 1, ',') || punct(i + 1, '=') || punct(i + 1, '}'))
-                record(t_[i].text, /*anchor=*/true);
-            return;
-        }
-        if (punct(i + 1, '(')) {
-            record(t_[i].text, /*anchor=*/nsScope);
-            return;
-        }
-        const bool afterTypeish =
-            i > 0 && (t_[i - 1].kind == TokenKind::Identifier ||
-                      punct(i - 1, '>') || punct(i - 1, '*') ||
-                      punct(i - 1, '&'));
-        if (!afterTypeish)
-            return;
-        if (punct(i + 1, ';') || punct(i + 1, '=') || punct(i + 1, '{') ||
-            punct(i + 1, '[') ||
-            (i + 1 < t_.size() && t_[i + 1].kind == TokenKind::Identifier &&
-             t_[i + 1].text.rfind("URSA_", 0) == 0))
-            record(t_[i].text, /*anchor=*/nsScope);
-    }
-
-    const std::vector<Token> &t_;
-    FileModel &out_;
-    std::vector<ScopeKind> scopes_;
-    int paren_ = 0;
-};
-
-// --- lock acquisition extraction ----------------------------------------
+// --- function definitions, call sites, taint sources (pass 3 input) -----
 
 /// RAII guard types whose construction acquires a lock.
 const std::set<std::string> kGuardTypes = {"MutexLock", "lock_guard",
                                            "unique_lock", "scoped_lock",
                                            "shared_lock"};
-
-class LockScanner
-{
-  public:
-    LockScanner(const LexedFile &lx, FileModel &out) : t_(lx.tokens),
-                                                       out_(out) {}
-
-    void
-    run()
-    {
-        for (std::size_t i = 0; i < t_.size(); ++i) {
-            if (punct(i, '{')) {
-                maybeEnterFunction(i);
-                ++depth_;
-                continue;
-            }
-            if (punct(i, '}')) {
-                --depth_;
-                while (!held_.empty() && held_.back().depth > depth_)
-                    held_.pop_back();
-                while (!fnStack_.empty() && fnStack_.back().depth > depth_)
-                    fnStack_.pop_back();
-                continue;
-            }
-            if (isGuardDecl(i))
-                i = guardDecl(i);
-            else if (isCondVarWait(i))
-                i = condVarWait(i);
-        }
-    }
-
-  private:
-    struct Held
-    {
-        std::string expr;
-        int depth;
-    };
-    struct Fn
-    {
-        std::string name;
-        int depth; ///< brace depth of the function *body*
-    };
-
-    bool
-    punct(std::size_t i, char c) const
-    {
-        return i < t_.size() && t_[i].kind == TokenKind::Punct &&
-               t_[i].text[0] == c;
-    }
-
-    /** Index of the `(` matching the `)` at `close`, or npos. */
-    std::size_t
-    openParenBefore(std::size_t close) const
-    {
-        int d = 0;
-        for (std::size_t j = close + 1; j-- > 0;) {
-            if (punct(j, ')'))
-                ++d;
-            else if (punct(j, '(') && --d == 0)
-                return j;
-        }
-        return std::string::npos;
-    }
-
-    /**
-     * Called on each `{`: if it opens a function body — preceded by a
-     * `(...)` parameter list modulo trailing qualifiers and URSA_*
-     * annotation macros — push the function's name for diagnostics.
-     */
-    void
-    maybeEnterFunction(std::size_t brace)
-    {
-        std::size_t j = brace;
-        while (j > 0) {
-            const Token &p = t_[j - 1];
-            if (p.kind == TokenKind::Identifier &&
-                (p.text == "const" || p.text == "noexcept" ||
-                 p.text == "override" || p.text == "final" ||
-                 p.text == "mutable" || p.text == "try"))
-                --j;
-            else
-                break;
-        }
-        while (j > 0 && punct(j - 1, ')')) {
-            const std::size_t open = openParenBefore(j - 1);
-            if (open == std::string::npos || open == 0 ||
-                t_[open - 1].kind != TokenKind::Identifier)
-                return;
-            const std::string &name = t_[open - 1].text;
-            if (name.rfind("URSA_", 0) == 0 || name == "noexcept") {
-                j = open - 1; // annotation/noexcept(...) — keep looking
-                continue;
-            }
-            if (isKeyword(name))
-                return; // if/for/while/switch/catch (...) { ... }
-            fnStack_.push_back({name, depth_ + 1});
-            return;
-        }
-    }
-
-    /** `[base::] GuardType [<...>] name (` — a guard declaration. */
-    bool
-    isGuardDecl(std::size_t i) const
-    {
-        if (i >= t_.size() || t_[i].kind != TokenKind::Identifier ||
-            !kGuardTypes.count(t_[i].text))
-            return false;
-        std::size_t j = i + 1;
-        if (punct(j, '<')) {
-            int d = 0;
-            for (; j < t_.size(); ++j) {
-                if (punct(j, '<'))
-                    ++d;
-                else if (punct(j, '>') && --d == 0) {
-                    ++j;
-                    break;
-                } else if (punct(j, ';'))
-                    return false;
-            }
-        }
-        return j < t_.size() && t_[j].kind == TokenKind::Identifier &&
-               punct(j + 1, '(');
-    }
-
-    /** `x.wait(mu)` / `x->wait(mu)` on a CondVar. */
-    bool
-    isCondVarWait(std::size_t i) const
-    {
-        if (!(i > 0 && t_[i].kind == TokenKind::Identifier &&
-              t_[i].text == "wait" && punct(i + 1, '(')))
-            return false;
-        return punct(i - 1, '.') ||
-               (punct(i - 1, '>') && i > 1 && punct(i - 2, '-'));
-    }
-
-    /**
-     * Normalize the lock expression spelled by tokens [from, to):
-     * concatenated spellings with `this->` stripped and subscript
-     * bodies blanked (`shards_[i].mu` and `shards_[j].mu` are the same
-     * lock *order class* even when i != j).
-     */
-    std::string
-    normalize(std::size_t from, std::size_t to) const
-    {
-        std::string s;
-        int bracket = 0;
-        for (std::size_t j = from; j < to; ++j) {
-            const std::string &x = t_[j].text;
-            if (punct(j, '[')) {
-                if (bracket++ == 0)
-                    s += "[";
-                continue;
-            }
-            if (punct(j, ']')) {
-                if (--bracket == 0)
-                    s += "]";
-                continue;
-            }
-            if (bracket > 0)
-                continue;
-            s += x;
-        }
-        if (s.rfind("this->", 0) == 0)
-            s = s.substr(6);
-        return s;
-    }
-
-    /** Matching `)` for the `(` at `open`, or npos. */
-    std::size_t
-    closeParen(std::size_t open) const
-    {
-        int d = 0;
-        for (std::size_t j = open; j < t_.size(); ++j) {
-            if (punct(j, '('))
-                ++d;
-            else if (punct(j, ')') && --d == 0)
-                return j;
-        }
-        return std::string::npos;
-    }
-
-    void
-    acquire(const std::string &expr, int line)
-    {
-        if (expr.empty())
-            return;
-        for (const Held &h : held_)
-            if (h.expr != expr)
-                out_.lockEdges.push_back(
-                    {h.expr, expr, line,
-                     fnStack_.empty() ? "" : fnStack_.back().name});
-    }
-
-    std::size_t
-    guardDecl(std::size_t i)
-    {
-        // Advance to the guard variable name, then its '(' arg list.
-        std::size_t j = i + 1;
-        if (punct(j, '<')) {
-            int d = 0;
-            for (; j < t_.size(); ++j) {
-                if (punct(j, '<'))
-                    ++d;
-                else if (punct(j, '>') && --d == 0) {
-                    ++j;
-                    break;
-                }
-            }
-        }
-        const std::size_t open = j + 1;
-        const std::size_t close = closeParen(open);
-        if (close == std::string::npos)
-            return i;
-        // std::scoped_lock(a, b, ...) acquires its arguments
-        // atomically: edges flow from already-held locks to each
-        // argument, never between the arguments themselves.
-        std::size_t argStart = open + 1;
-        int d = 0;
-        std::vector<std::string> acquired;
-        for (std::size_t k = open + 1; k <= close; ++k) {
-            if (punct(k, '(') || punct(k, '[') || punct(k, '<'))
-                ++d;
-            else if ((punct(k, ')') && k != close) || punct(k, ']'))
-                --d;
-            else if (punct(k, '>') && !(k > 0 && punct(k - 1, '-')))
-                --d; // a real closing angle, not the tail of ->
-            if (k == close || (punct(k, ',') && d == 0)) {
-                acquired.push_back(normalize(argStart, k));
-                argStart = k + 1;
-            }
-        }
-        const int line = t_[i].line;
-        for (const std::string &expr : acquired)
-            acquire(expr, line);
-        for (const std::string &expr : acquired)
-            if (!expr.empty())
-                held_.push_back({expr, depth_});
-        return close;
-    }
-
-    std::size_t
-    condVarWait(std::size_t i)
-    {
-        const std::size_t open = i + 1;
-        const std::size_t close = closeParen(open);
-        if (close == std::string::npos)
-            return i;
-        // wait(mu) re-acquires mu while every *other* held lock stays
-        // held — the same ordering event as a fresh acquisition.
-        const std::string expr = normalize(open + 1, close);
-        acquire(expr, t_[i].line);
-        return close;
-    }
-
-    const std::vector<Token> &t_;
-    FileModel &out_;
-    int depth_ = 0;
-    std::vector<Held> held_;
-    std::vector<Fn> fnStack_;
-};
-
-// --- function definitions, call sites, taint sources (pass 3 input) -----
 
 /// Identifiers whose mere mention reads a wall clock.
 const std::set<std::string> kClockIdents = {
@@ -1212,8 +711,6 @@ buildFileModel(const std::string &relPath, const std::string &source)
     fm.lx = lex(source);
     for (const IncludeDirective &inc : fm.lx.includes)
         fm.includes.push_back({inc.header, inc.line, -1, inc.angled});
-    SymbolIndexer(fm.lx, fm).run();
-    LockScanner(fm.lx, fm).run();
     FuncScanner(fm.lx, fm).run();
     return fm;
 }

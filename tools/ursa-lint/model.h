@@ -1,25 +1,19 @@
 /**
  * @file
- * Whole-project model for ursa-lint's cross-file pass.
+ * Whole-project model for ursa-lint's cross-file passes.
  *
  * Pass 1 of the analyzer lexes every file under the lint root and
  * distills each into a `FileModel`: the resolved project-internal
- * include edges, a heuristic symbol index (what the file *provides*
- * to includers and which identifiers it *uses*), and the lock
- * acquisition sequences extracted from nested `base::MutexLock` /
- * `CondVar::wait` scopes. `ProjectModel` stitches the per-file models
- * together (include resolution by root-relative path) so pass 2's
- * rules — layer-violation, layer-cycle, lock-order, include-hygiene —
- * can reason about the program as one graph instead of one file at a
- * time.
+ * include edges and a per-function table of call sites and taint
+ * sources. `ProjectModel` stitches the per-file models together
+ * (include resolution by root-relative path) so pass 2's layer rules
+ * (layer-violation, layer-cycle) and pass 3's call graph can reason
+ * about the program as one graph instead of one file at a time.
  *
- * The symbol index is a token-level approximation, not a compiler
+ * The function table is a token-level approximation, not a compiler
  * front end: it tracks namespace/class/enum/function brace scopes and
- * records type names, macros, enumerators, namespace-scope
- * functions/constants, and class member names. That is deliberately
- * conservative in the direction that matters — include-hygiene only
- * *flags* an include when the included file contributes no detectable
- * symbol at all, so indexer misses produce silence, not noise.
+ * links calls conservatively, so scanner misses produce silence, not
+ * noise.
  */
 
 #ifndef URSA_TOOLS_LINT_MODEL_H
@@ -28,7 +22,6 @@
 #include "lexer.h"
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -81,15 +74,6 @@ struct FuncDef
     bool checkGuard = false; ///< body invokes an URSA_CHECK* macro
 };
 
-/** One lock acquired while another is held, with its source site. */
-struct LockEdge
-{
-    std::string held;     ///< normalized expression of the outer lock
-    std::string acquired; ///< normalized expression of the inner lock
-    int line;             ///< acquisition site (inner lock)
-    std::string function; ///< best-effort enclosing function ("" unknown)
-};
-
 /** A quoted include resolved against the project file set. */
 struct ResolvedInclude
 {
@@ -105,18 +89,6 @@ struct FileModel
     std::string layer; ///< first path component ("" for root files)
     LexedFile lx;
     std::vector<ResolvedInclude> includes;
-    /// Every symbol the file defines for includers: types, macros,
-    /// enumerators, namespace-scope functions/constants, class member
-    /// names. Drives the "include contributes nothing" check.
-    std::set<std::string> provides;
-    /// Distinctive subset of `provides` — types, macros, enumerators,
-    /// namespace-scope functions/constants, but *not* class members —
-    /// used for the transitive-use check, where a match must identify
-    /// the providing file rather than merely fail to rule it out.
-    std::set<std::string> anchors;
-    /// Every identifier spelled anywhere in the file.
-    std::set<std::string> idents;
-    std::vector<LockEdge> lockEdges;
     /// Function definitions in token order (pass 3's call-graph input).
     std::vector<FuncDef> funcs;
 };
@@ -148,7 +120,7 @@ struct ProjectModel
  */
 int layerLevel(const std::string &layer);
 
-/** Lex + index one file (pass 1 unit of work; pure, parallel-safe). */
+/** Lex + index one file (pass 1 unit of work; pure). */
 FileModel buildFileModel(const std::string &relPath,
                          const std::string &source);
 

@@ -3,9 +3,7 @@
 #include "callgraph.h"
 #include "graph.h"
 
-#include <algorithm>
 #include <iterator>
-#include <map>
 
 namespace ursa::lint
 {
@@ -37,19 +35,6 @@ joinPath(const std::vector<std::string> &names)
         s += n;
     }
     return s;
-}
-
-/** `dir/stem.h` for `dir/stem.cc` — the file's own header, if any. */
-std::string
-ownHeaderPath(const std::string &path)
-{
-    const std::size_t dot = path.rfind('.');
-    if (dot == std::string::npos)
-        return "";
-    const std::string ext = path.substr(dot);
-    if (ext != ".cc" && ext != ".cpp")
-        return "";
-    return path.substr(0, dot) + ".h";
 }
 
 // --- layer-violation -----------------------------------------------------
@@ -110,151 +95,6 @@ ruleLayerCycle(ProjectCtx &ctx)
     }
 }
 
-// --- lock-order ----------------------------------------------------------
-
-struct LockSite
-{
-    int file; ///< index into pm.files
-    int line;
-    std::string function;
-};
-
-void
-ruleLockOrder(ProjectCtx &ctx)
-{
-    Digraph g;
-    std::map<std::pair<int, int>, std::vector<LockSite>> sites;
-    for (std::size_t fi = 0; fi < ctx.pm.files.size(); ++fi)
-        for (const LockEdge &e : ctx.pm.files[fi].lockEdges) {
-            const int a = g.node(e.held);
-            const int b = g.node(e.acquired);
-            g.addEdge(a, b);
-            sites[{a, b}].push_back(
-                {static_cast<int>(fi), e.line, e.function});
-        }
-    if (g.size() == 0)
-        return;
-    const std::vector<int> ids = g.sccIds();
-    const std::vector<int> sizes = Digraph::sccSizes(ids);
-    for (const auto &[edge, where] : sites) {
-        const auto [a, b] = edge;
-        if (!g.edgeOnCycle(ids, sizes, a, b))
-            continue;
-        const std::vector<std::string> cycle = g.cycleThrough(a, b);
-        // Cite the next edge of the cycle so the AB site points at the
-        // BA site (and vice versa) even across translation units.
-        std::string witness;
-        if (cycle.size() >= 3) {
-            const int wa = g.find(cycle[1]), wb = g.find(cycle[2]);
-            const auto it = sites.find({wa, wb});
-            if (it != sites.end() && !it->second.empty()) {
-                const LockSite &s = it->second.front();
-                witness = "; reverse order at " +
-                          ctx.pm.files[s.file].path + ":" +
-                          std::to_string(s.line) +
-                          (s.function.empty() ? ""
-                                              : " (" + s.function + ")");
-            }
-        }
-        for (const LockSite &s : where) {
-            const FileModel &fm = ctx.pm.files[s.file];
-            ctx.report(fm, s.line, "lock-order",
-                       "acquiring '" + g.name(b) + "' while holding '" +
-                           g.name(a) +
-                           "' joins a lock-order cycle: " + joinPath(cycle) +
-                           witness + " — potential AB/BA deadlock");
-        }
-    }
-}
-
-// --- include-hygiene -----------------------------------------------------
-
-void
-ruleIncludeHygiene(ProjectCtx &ctx)
-{
-    for (const FileModel &fm : ctx.pm.files) {
-        const std::string own = ownHeaderPath(fm.path);
-        const int ownIdx = own.empty() ? -1 : ctx.pm.fileIndex(own);
-
-        // (a) Dead includes: a project-internal include whose file
-        // defines symbols, none of which this file mentions.
-        std::vector<int> direct;
-        for (const ResolvedInclude &inc : fm.includes) {
-            if (inc.target < 0)
-                continue;
-            direct.push_back(inc.target);
-            if (inc.target == ownIdx)
-                continue; // a .cc always keeps its own header
-            const FileModel &tgt = ctx.pm.files[inc.target];
-            if (tgt.provides.empty())
-                continue; // nothing indexable — cannot judge
-            const bool used = std::any_of(
-                tgt.provides.begin(), tgt.provides.end(),
-                [&](const std::string &s) { return fm.idents.count(s); });
-            if (!used)
-                ctx.report(fm, inc.line, "include-hygiene",
-                           "include \"" + tgt.path +
-                               "\" contributes no symbol used by this "
-                               "file; drop it (or include what you "
-                               "actually use)");
-        }
-
-        // (b) Transitive leaks: a symbol used here whose only
-        // providers are files reached through other headers. BFS in
-        // include order gives nearest-provider attribution.
-        std::vector<int> reach;
-        {
-            std::vector<bool> seen(ctx.pm.files.size(), false);
-            seen[ctx.pm.fileIndex(fm.path)] = true;
-            std::vector<int> queue = direct;
-            for (const int d : direct)
-                seen[d] = true;
-            for (std::size_t q = 0; q < queue.size(); ++q) {
-                reach.push_back(queue[q]);
-                for (const ResolvedInclude &inc :
-                     ctx.pm.files[queue[q]].includes)
-                    if (inc.target >= 0 && !seen[inc.target]) {
-                        seen[inc.target] = true;
-                        queue.push_back(inc.target);
-                    }
-            }
-        }
-        std::set<std::string> satisfied = fm.provides;
-        for (const int d : direct)
-            satisfied.insert(ctx.pm.files[d].provides.begin(),
-                             ctx.pm.files[d].provides.end());
-        std::set<std::string> claimed;
-        for (const int gi : reach) {
-            if (std::find(direct.begin(), direct.end(), gi) !=
-                direct.end())
-                continue;
-            const FileModel &g = ctx.pm.files[gi];
-            std::vector<std::string> syms;
-            for (const std::string &s : g.anchors)
-                if (fm.idents.count(s) && !satisfied.count(s) &&
-                    !claimed.count(s))
-                    syms.push_back(s);
-            if (syms.empty())
-                continue;
-            claimed.insert(syms.begin(), syms.end());
-            // Anchor the report where the first leaked symbol is used.
-            int line = 1;
-            for (const Token &t : fm.lx.tokens)
-                if (t.kind == TokenKind::Identifier && t.text == syms[0]) {
-                    line = t.line;
-                    break;
-                }
-            std::string list = "'" + syms[0] + "'";
-            if (syms.size() > 1)
-                list += " (+" + std::to_string(syms.size() - 1) + " more)";
-            ctx.report(fm, line, "include-hygiene",
-                       "uses " + list + " from \"" + g.path +
-                           "\" but reaches it only through transitive "
-                           "includes; include \"" + g.path + "\" directly");
-        }
-    }
-}
-
 } // namespace
 
 std::vector<Violation>
@@ -263,8 +103,6 @@ lintProject(const ProjectModel &pm)
     ProjectCtx ctx{pm, {}};
     ruleLayerViolation(ctx);
     ruleLayerCycle(ctx);
-    ruleLockOrder(ctx);
-    ruleIncludeHygiene(ctx);
     // Pass 3: the interprocedural rules over the project call graph
     // (already suppression-filtered and ordered; see callgraph.cc).
     const CallGraph cg = buildCallGraph(pm);

@@ -6,17 +6,16 @@
  *                    upward (see layerLevel() in model.h)
  *   layer-cycle      a strongly connected component in the project
  *                    include graph
- *   lock-order       a cycle in the global lock-acquisition-order
- *                    graph assembled from every TU's nested
- *                    MutexLock / CondVar::wait scopes (AB/BA
- *                    inversions across translation units)
- *   include-hygiene  IWYU-lite — includes that contribute no used
- *                    symbol, and symbols used but only reachable
- *                    through transitive includes
  *
+ * lintProject() then runs pass 3, the interprocedural call-graph rules
+ * (callgraph.h).
  * Per-file rules (rules.h) see one file at a time; these see the
  * program. Suppressions (`// ursa-lint: allow(rule) reason`) are
  * honoured at the reported line of the reporting file.
+ *
+ * Lock ordering is not checked here: the tree's only locks are in
+ * src/exec, and ThreadSanitizer reports an AB/BA inversion even when
+ * the two orders never overlap in time.
  */
 
 #ifndef URSA_TOOLS_LINT_PROJECT_RULES_H

@@ -56,9 +56,6 @@ const std::set<std::string> kHeapIdents = {"priority_queue", "make_heap",
 const std::set<std::string> kSchedulerIdents = {
     "schedule", "scheduleIn", "submit", "invoke", "publish", "publishTo"};
 
-const std::set<std::string> kLockGuardIdents = {
-    "MutexLock", "lock_guard", "unique_lock", "scoped_lock", "shared_lock"};
-
 const std::set<std::string> kAnnotationIdents = {
     "URSA_GUARDED_BY",  "URSA_PT_GUARDED_BY",     "URSA_REQUIRES",
     "URSA_EXCLUDES",    "URSA_ACQUIRE",           "URSA_RELEASE",
@@ -80,17 +77,10 @@ const std::vector<RuleInfo> kRules = {
     {"bare-assert",
      "bare assert() compiles out of Release; use URSA_CHECK(cond, "
      "component, msg) from check/check.h"},
-    {"callback-under-lock",
-     "callback invoked while a lock is held; move the call outside the "
-     "critical section (a re-entrant callback deadlocks, a slow one "
-     "convoys every waiter)"},
     {"raw-thread",
      "raw std::thread/.detach() outside src/exec; route parallelism "
      "through ursa::exec so shutdown, joining and URSA_THREADS stay "
      "centralized"},
-    {"include-order",
-     "a .cc file must include its own header first (proves the header is "
-     "self-contained)"},
     {"banned-include",
      "banned header (bits/stdc++.h anywhere; <iostream> in headers — use "
      "<ostream>/<iosfwd>)"},
@@ -115,14 +105,6 @@ const std::vector<RuleInfo> kRules = {
      "include cycle between project files (strongly connected component "
      "in the include graph); break the cycle with a forward declaration "
      "or an interface split"},
-    {"lock-order",
-     "lock acquired in an order that cycles with another translation "
-     "unit's acquisition order (AB/BA inversion) — potential deadlock; "
-     "acquire locks in one global order"},
-    {"include-hygiene",
-     "include-what-you-use: an include that contributes no symbol used "
-     "by this file, or a symbol used here but reachable only through "
-     "transitive includes"},
     {"sim-nondeterminism",
      "a simulation-context function (src/sim, src/solver, workload "
      "generator next()) transitively reaches a nondeterminism source — "
@@ -202,8 +184,6 @@ struct Ctx
     std::string path;
     std::string scope;    ///< first path component ("" if none)
     std::string fileName; ///< last path component
-    std::string stem;     ///< fileName without extension
-    std::string dir;      ///< path minus fileName ("" if none)
     bool isHeader = false;
     const LexedFile *lxp = nullptr;
     std::vector<Violation> out;
@@ -220,11 +200,15 @@ struct Ctx
         return commentOn(*lxp, line);
     }
 
+    /** Report `rule` at `line` with its catalogue summary, unless
+     * suppressed. The summary is looked up by id, so adding or
+     * deleting a catalogue row cannot hand a finding another rule's
+     * text. */
     void
-    report(int line, const std::string &rule, const std::string &message)
+    report(int line, const char *rule)
     {
         if (!suppressedAt(*lxp, line, rule))
-            out.push_back({path, line, rule, message, {}});
+            out.push_back({path, line, rule, ruleSummary(rule), {}});
     }
 
     // --- token helpers ---------------------------------------------------
@@ -305,7 +289,7 @@ ruleWallClock(Ctx &ctx)
         if (t[i].kind != TokenKind::Identifier)
             continue;
         if (kClockIdents.count(t[i].text)) {
-            ctx.report(t[i].line, "wall-clock", kRules[0].summary);
+            ctx.report(t[i].line, "wall-clock");
             continue;
         }
         // time() / time(NULL) / time(nullptr) / time(0)
@@ -317,7 +301,7 @@ ruleWallClock(Ctx &ctx)
                   t[i + 2].text == "0")) &&
                 ctx.punct(i + 3, ')');
             if (nullary || nullArg)
-                ctx.report(t[i].line, "wall-clock", kRules[0].summary);
+                ctx.report(t[i].line, "wall-clock");
         }
     }
 }
@@ -334,7 +318,7 @@ ruleRawRand(Ctx &ctx)
         if (kRandIdents.count(t[i].text) ||
             ((t[i].text == "rand" || t[i].text == "srand") &&
              ctx.punct(i + 1, '(')))
-            ctx.report(t[i].line, "raw-rand", kRules[1].summary);
+            ctx.report(t[i].line, "raw-rand");
     }
 }
 
@@ -346,7 +330,7 @@ ruleUnorderedSim(Ctx &ctx)
     const auto &t = ctx.toks();
     for (std::size_t i = 0; i < t.size(); ++i)
         if (ctx.qualifiedIn(i, "std", kUnorderedIdents))
-            ctx.report(t[i].line, "unordered-sim", kRules[2].summary);
+            ctx.report(t[i].line, "unordered-sim");
 }
 
 /** Names declared as `std::unordered_*<...> [&] name [;={(]`. */
@@ -410,7 +394,7 @@ ruleUnorderedSched(Ctx &ctx)
                 break; // classic for loop, not a range-for
         }
         if (sawColon && lastIdent && names.count(lastIdent->text))
-            ctx.report(t[i].line, "unordered-sched", kRules[3].summary);
+            ctx.report(t[i].line, "unordered-sched");
     }
 }
 
@@ -422,83 +406,7 @@ ruleBareAssert(Ctx &ctx)
     const auto &t = ctx.toks();
     for (std::size_t i = 0; i < t.size(); ++i)
         if (ctx.ident(i, "assert") && ctx.punct(i + 1, '('))
-            ctx.report(t[i].line, "bare-assert", kRules[4].summary);
-}
-
-/** Names declared as `std::function<...> [*&const] name`. */
-std::set<std::string>
-functionDeclNames(const Ctx &ctx)
-{
-    std::set<std::string> names;
-    const auto &t = ctx.toks();
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        if (!ctx.qualified(i, "std", "function"))
-            continue;
-        std::size_t j = ctx.skipAngles(i + 4);
-        if (j == std::string::npos)
-            continue;
-        while (ctx.punct(j, '*') || ctx.punct(j, '&') || ctx.ident(j, "const"))
-            ++j;
-        if (j < t.size() && t[j].kind == TokenKind::Identifier)
-            names.insert(t[j].text);
-    }
-    return names;
-}
-
-void
-ruleCallbackUnderLock(Ctx &ctx)
-{
-    const std::set<std::string> fns = functionDeclNames(ctx);
-    if (fns.empty())
-        return;
-    const auto &t = ctx.toks();
-    int depth = 0;
-    std::vector<int> guardDepths; // brace depth at each active guard
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        if (ctx.punct(i, '{')) {
-            ++depth;
-            continue;
-        }
-        if (ctx.punct(i, '}')) {
-            --depth;
-            while (!guardDepths.empty() && guardDepths.back() > depth)
-                guardDepths.pop_back();
-            continue;
-        }
-        // Guard declaration: [std::|base::] GuardType [<...>] name ( | {
-        if (t[i].kind == TokenKind::Identifier &&
-            kLockGuardIdents.count(t[i].text)) {
-            std::size_t j = i + 1;
-            if (ctx.punct(j, '<')) {
-                j = ctx.skipAngles(j);
-                if (j == std::string::npos)
-                    continue;
-            }
-            if (j < t.size() && t[j].kind == TokenKind::Identifier &&
-                (ctx.punct(j + 1, '(') || ctx.punct(j + 1, '{')))
-                guardDepths.push_back(depth);
-            continue;
-        }
-        if (guardDepths.empty())
-            continue;
-        // Direct invocation of a declared std::function: `name(` not
-        // preceded by ./->/:: (those are member/qualified lookups of
-        // something else), or `(*name)(` through a pointer.
-        if (t[i].kind == TokenKind::Identifier && fns.count(t[i].text) &&
-            ctx.punct(i + 1, '(')) {
-            const bool memberish =
-                i > 0 && (ctx.punct(i - 1, '.') || ctx.punct(i - 1, ':') ||
-                          (ctx.punct(i - 1, '>') && ctx.punct(i - 2, '-')));
-            if (!memberish)
-                ctx.report(t[i].line, "callback-under-lock",
-                           kRules[5].summary);
-        }
-        if (ctx.punct(i, '(') && ctx.punct(i + 1, '*') && i + 2 < t.size() &&
-            t[i + 2].kind == TokenKind::Identifier &&
-            fns.count(t[i + 2].text) && ctx.punct(i + 3, ')') &&
-            ctx.punct(i + 4, '('))
-            ctx.report(t[i].line, "callback-under-lock", kRules[5].summary);
-    }
+            ctx.report(t[i].line, "bare-assert");
 }
 
 void
@@ -510,31 +418,13 @@ ruleRawThread(Ctx &ctx)
     for (std::size_t i = 0; i < t.size(); ++i) {
         if (ctx.qualified(i, "std", "thread") ||
             ctx.qualified(i, "std", "jthread")) {
-            ctx.report(t[i].line, "raw-thread", kRules[6].summary);
+            ctx.report(t[i].line, "raw-thread");
             continue;
         }
         if (ctx.ident(i, "detach") && ctx.punct(i + 1, '(') && i > 0 &&
             (ctx.punct(i - 1, '.') ||
              (ctx.punct(i - 1, '>') && ctx.punct(i - 2, '-'))))
-            ctx.report(t[i].line, "raw-thread", kRules[6].summary);
-    }
-}
-
-void
-ruleIncludeOrder(Ctx &ctx)
-{
-    if (ctx.isHeader || ctx.lxRef().includes.empty())
-        return;
-    const std::string own = ctx.stem + ".h";
-    const std::string ownQualified =
-        ctx.dir.empty() ? own : ctx.dir + "/" + own;
-    for (std::size_t i = 0; i < ctx.lxRef().includes.size(); ++i) {
-        const IncludeDirective &inc = ctx.lxRef().includes[i];
-        if (inc.angled || (inc.header != own && inc.header != ownQualified))
-            continue;
-        if (i != 0)
-            ctx.report(inc.line, "include-order", kRules[7].summary);
-        return;
+            ctx.report(t[i].line, "raw-thread");
     }
 }
 
@@ -543,9 +433,9 @@ ruleBannedInclude(Ctx &ctx)
 {
     for (const IncludeDirective &inc : ctx.lxRef().includes) {
         if (inc.header == "bits/stdc++.h")
-            ctx.report(inc.line, "banned-include", kRules[8].summary);
+            ctx.report(inc.line, "banned-include");
         else if (ctx.isHeader && inc.angled && inc.header == "iostream")
-            ctx.report(inc.line, "banned-include", kRules[8].summary);
+            ctx.report(inc.line, "banned-include");
     }
 }
 
@@ -591,7 +481,7 @@ ruleMissingAnnotation(Ctx &ctx)
             ctx.qualified(i, "std", "condition_variable_any") ||
             ctx.qualified(i, "std", "shared_mutex") ||
             ctx.qualified(i, "std", "recursive_mutex")) {
-            ctx.report(t[i].line, "missing-annotation", kRules[9].summary);
+            ctx.report(t[i].line, "missing-annotation");
             continue;
         }
         // base::Mutex member/local declarations must be referenced by
@@ -600,8 +490,7 @@ ruleMissingAnnotation(Ctx &ctx)
             i + 4 < t.size() && t[i + 4].kind == TokenKind::Identifier &&
             (ctx.punct(i + 5, ';') || ctx.punct(i + 5, '{'))) {
             if (!annotated.count(t[i + 4].text))
-                ctx.report(t[i + 4].line, "missing-annotation",
-                           kRules[9].summary);
+                ctx.report(t[i + 4].line, "missing-annotation");
             continue;
         }
         // std::atomic<...> declarations need an `atomic:` rationale in
@@ -613,8 +502,7 @@ ruleMissingAnnotation(Ctx &ctx)
                 (ctx.punct(j + 1, ';') || ctx.punct(j + 1, '=') ||
                  ctx.punct(j + 1, '{')) &&
                 !atomicRationaleNear(t[j].line))
-                ctx.report(t[j].line, "missing-annotation",
-                           kRules[9].summary);
+                ctx.report(t[j].line, "missing-annotation");
         }
     }
 }
@@ -627,7 +515,7 @@ ruleBannedHeap(Ctx &ctx)
     const auto &t = ctx.toks();
     for (std::size_t i = 0; i < t.size(); ++i)
         if (ctx.qualifiedIn(i, "std", kHeapIdents))
-            ctx.report(t[i].line, "banned-heap", kRules[10].summary);
+            ctx.report(t[i].line, "banned-heap");
 }
 
 const std::set<std::string> kSharedOwnerIdents = {
@@ -656,8 +544,7 @@ ruleAtomicRefcount(Ctx &ctx)
         for (std::size_t j = open + 1; j + 1 < end; ++j) {
             if (t[j].kind == TokenKind::Identifier &&
                 (t[j].text == "Invocation" || t[j].text == "Request")) {
-                ctx.report(t[i].line, "atomic-refcount",
-                           kRules[19].summary);
+                ctx.report(t[i].line, "atomic-refcount");
                 break;
             }
         }
@@ -742,11 +629,7 @@ lintFileLexed(const std::string &relPath, const LexedFile &lx)
     ctx.fileName = lastSlash == std::string::npos
                        ? relPath
                        : relPath.substr(lastSlash + 1);
-    ctx.dir = lastSlash == std::string::npos ? ""
-                                             : relPath.substr(0, lastSlash);
     const std::size_t dot = ctx.fileName.rfind('.');
-    ctx.stem = dot == std::string::npos ? ctx.fileName
-                                        : ctx.fileName.substr(0, dot);
     const std::string ext =
         dot == std::string::npos ? "" : ctx.fileName.substr(dot);
     ctx.isHeader = ext == ".h" || ext == ".hpp";
@@ -757,9 +640,7 @@ lintFileLexed(const std::string &relPath, const LexedFile &lx)
     ruleUnorderedSim(ctx);
     ruleUnorderedSched(ctx);
     ruleBareAssert(ctx);
-    ruleCallbackUnderLock(ctx);
     ruleRawThread(ctx);
-    ruleIncludeOrder(ctx);
     ruleBannedInclude(ctx);
     ruleMissingAnnotation(ctx);
     ruleBannedHeap(ctx);
@@ -768,13 +649,6 @@ lintFileLexed(const std::string &relPath, const LexedFile &lx)
 
     sortViolations(ctx.out);
     return std::move(ctx.out);
-}
-
-std::vector<Violation>
-lintFile(const std::string &relPath, const std::string &source)
-{
-    const LexedFile lx = lex(source);
-    return lintFileLexed(relPath, lx);
 }
 
 void

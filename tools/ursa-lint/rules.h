@@ -1,11 +1,11 @@
 /**
  * @file
- * ursa-lint rule engine: the determinism rules ported from
- * scripts/lint_determinism.py plus the concurrency/hygiene rule
- * classes that needed a real tokenizer, and (since the whole-project
- * pass) the catalogue entries for the cross-file rules implemented in
- * project_rules.cc. See RULES in rules.cc for the catalogue;
- * DESIGN.md §9/§11 document scope and suppression policy.
+ * ursa-lint rule engine: the per-file determinism rules ported from
+ * scripts/lint_determinism.py plus the concurrency/hygiene rules that
+ * needed a real tokenizer, and the catalogue entries for the
+ * cross-file rules in project_rules.cc and callgraph.cc. See kRules in
+ * rules.cc for the catalogue; DESIGN.md §9/§11 document scope and
+ * suppression policy.
  */
 
 #ifndef URSA_TOOLS_LINT_RULES_H
@@ -28,7 +28,7 @@ struct RelatedSite
 {
     std::string path; ///< repo-relative, '/'-separated
     int line;
-    std::string note; ///< "calls sim::Shard::run", "source: steady_clock"
+    std::string note; ///< "calls 'base::flushLog'", "source: ofstream"
 };
 
 struct Violation
@@ -66,16 +66,12 @@ const char *ruleSummary(const std::string &rule);
 bool suppressedAt(const LexedFile &lx, int line, const std::string &rule);
 
 /**
- * Lint one file. `relPath` is the path relative to the lint root
+ * Lint one lexed file. `relPath` is the path relative to the lint root
  * ('/'-separated) — its first component selects the layer scope (sim,
  * core, exec, ...) several rules key on. Suppressed violations
  * (`// ursa-lint: allow(rule) reason` on the line or the line above)
  * are already filtered out.
  */
-std::vector<Violation> lintFile(const std::string &relPath,
-                                const std::string &source);
-
-/** Same, over an already-lexed file (the parallel pass lexes once). */
 std::vector<Violation> lintFileLexed(const std::string &relPath,
                                      const LexedFile &lx);
 
