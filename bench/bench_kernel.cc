@@ -4,7 +4,7 @@
  * social-network application with the open-loop Poisson client for a
  * fixed span of simulated time and reports raw kernel throughput —
  * events/sec and requests/sec of wall-clock time. This is the number
- * the event kernel (calendar queue, batched dispatch, SBO callbacks,
+ * the event kernel (binary-heap queue, batched dispatch, SBO callbacks,
  * object pools) is judged by; the historical record lives in the
  * checked-in BENCH_kernel.json trajectory.
  *

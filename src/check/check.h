@@ -12,8 +12,8 @@
  * Levels (CMake cache option URSA_CHECK_LEVEL, default 1):
  *   0  all checks compiled out (conditions not evaluated);
  *   1  cheap O(1) invariants on the hot path (<10% events/sec cost);
- *   2  adds expensive audits (full calendar-structure scans,
- *      periodic conservation sweeps) via URSA_CHECK_SLOW — the CI
+ *   2  adds expensive audits (full event-heap scans, periodic
+ *      conservation sweeps) via URSA_CHECK_SLOW — the CI
  *      "Debug+checks" leg builds at this level.
  *
  * The layer is dependency-free (everything links against it, including

@@ -1,29 +1,12 @@
 /**
  * @file
  * The discrete-event kernel: a time-ordered queue of callbacks with a
- * monotone clock. Ties are broken by insertion order, so every event
- * has a place in one strict (time, seq) total order and the simulation
- * is fully deterministic.
- *
- * The queue is a calendar queue tuned for the banded timestamp
- * distributions our workloads produce. Scheduling appends a 24-byte key
- * to a time bucket (O(1)); the callback body lives in a slot slab and
- * never moves with the key (struct-of-arrays). Bucket width is a power
- * of two, recalibrated from the observed inter-event gap at every
- * epoch rebuild; events beyond the epoch horizon wait in an overflow
- * ladder. Draining pulls one bucket at a time into a run list sorted
- * by exact (time, seq).
- *
- * Dispatch is batched: all events of one timestamp drain as a band —
- * the clock advances once and the clock audit runs per batch instead
- * of per event.
- *
- * A scheduled callback can be retracted by the EventId schedule()
- * returned. Every owner of a recurring or superseded event (a
- * replica's CPU completion, a client's next arrival, a controller's
- * next tick) holds the id of its one pending event and cancels it
- * before rescheduling and when it stops or dies, so no queued event
- * outlives its owner.
+ * monotone clock. Ties break by insertion order, so every event has a
+ * place in one strict (time, seq) total order and the simulation is
+ * fully deterministic. A binary min-heap of 24-byte EventId keys orders
+ * the events, each callback body stays put in a slot slab, and all
+ * events of one timestamp drain as one batch. DESIGN.md §10 says why a
+ * heap, and how the O(1) lazy cancel keeps the order.
  */
 
 #ifndef URSA_SIM_EVENT_QUEUE_H
@@ -34,19 +17,22 @@
 #include "sim/time.h"
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace ursa::sim
 {
 
 /**
- * Handle of one scheduled callback: its exact place in the (time, seq)
- * order. A default-constructed id names no event.
+ * Handle of one scheduled callback and its heap key: the event's place
+ * in the (time, seq) order and the slot holding its body. A
+ * default-constructed id names no event.
  */
 struct EventId
 {
     SimTime at = -1;
     std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
 
     explicit operator bool() const { return at >= 0; }
 };
@@ -56,9 +42,6 @@ class EventQueue
 {
   public:
     using Callback = InlineCallback;
-
-    /** An empty queue with its clock at 0. */
-    EventQueue();
 
     /** Current simulated time. */
     SimTime now() const { return now_; }
@@ -97,117 +80,77 @@ class EventQueue
 
 #if URSA_CHECK_LEVEL >= 1
     /**
-     * Violation injection for the check layer's own tests: swap the
-     * two earliest entries so the next dispatches run out of (time,
-     * seq) order and the level-1 monotonicity check fires. No-op with
-     * fewer than two pending events.
+     * Violation injection for the check layer's own tests: swap the two
+     * earliest keys (the root and its earlier child) so dispatch runs
+     * out of order and the level-1 audit fires. No-op below two keys.
      */
-    void corruptOrderForTest();
+    void
+    corruptOrderForTest()
+    {
+        const std::size_t n = heap_.size();
+        if (n >= 2)
+            std::swap(heap_[0],
+                      heap_[n > 2 && keyEarlier(heap_[2], heap_[1]) ? 2 : 1]);
+    }
 #endif
 
   private:
-    /**
-     * Sort/relocation key of one pending event; the callback stays put
-     * in `slots_[slot]` while keys move between buckets and the day
-     * run list.
-     */
-    struct Key
-    {
-        SimTime at = 0;
-        std::uint64_t seq = 0;
-        std::uint32_t slot = 0;
-    };
-
     /** Strict total order: earlier time first, then insertion order. */
     static bool
-    keyEarlier(const Key &a, const Key &b)
+    keyEarlier(const EventId &a, const EventId &b)
     {
-        if (a.at != b.at)
-            return a.at < b.at;
-        return a.seq < b.seq;
+        return a.at != b.at ? a.at < b.at : a.seq < b.seq;
     }
 
-    std::uint32_t storeSlot(Callback &&fn);
-    void calendarInsert(Key k);
+    /// Tag of a slot that holds no event (seqs count up from 0).
+    static constexpr std::uint64_t kNoEvent = ~std::uint64_t{0};
 
-    /**
-     * Make the day run list non-empty, pulling the next occupied
-     * bucket (rebuilding the epoch from the overflow ladder when the
-     * buckets are spent). Never pulls past `until`: returns false when
-     * no pending event is at or before it.
-     */
-    bool pullNextDay(SimTime until);
+    /** One callback body, tagged with the seq of the event it holds. */
+    struct Slot
+    {
+        Callback fn;
+        std::uint64_t seq = kNoEvent;
+    };
 
-    /**
-     * Drain every day-list event sharing the front timestamp (the
-     * caller has already checked it against the run bound), advancing
-     * the clock once for the whole band.
-     */
-    void runBatch();
+    /** A key is live until its event runs or is cancelled. */
+    bool live(const EventId &k) const { return slots_[k.slot].seq == k.seq; }
 
-    /**
-     * Re-bucket everything at or beyond the frontier around a new
-     * epoch starting at `startAt`, recalibrating the bucket width from
-     * the observed inter-event gap and the bucket count from the
-     * pending population. Day-list entries (already below the
-     * frontier) are untouched.
-     */
-    void rebuildEpoch(SimTime startAt);
+    /** Free k's slot, handing back the callback for the caller to drop. */
+    Callback
+    release(const EventId &k)
+    {
+        slots_[k.slot].seq = kNoEvent;
+        freeSlots_.push_back(k.slot);
+        return std::move(slots_[k.slot].fn);
+    }
+
+    EventId popTop();
 
 #if URSA_CHECK_LEVEL >= 1
-    /** Per-batch order audit: batches strictly increase in time. */
-    void auditBatchStart(SimTime at);
+    /// The last dispatched event, for the level-1 strict-total-order
+    /// audit (FIFO tie-break included).
+    EventId last_;
 #endif
 #if URSA_CHECK_LEVEL >= 2
-    /** Full calendar-structure scan, sampled every kAuditStride ops. */
+    /** Full heap scan, run on every kAuditStride-th dispatch batch. */
     void auditStructure();
-    void maybeAuditStructure();
+    static constexpr std::uint64_t kAuditStride = 1024;
+    std::uint64_t auditCountdown_ = 0;
 #endif
 
     SimTime now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t processed_ = 0;
     std::uint64_t cancelled_ = 0;
+    std::size_t count_ = 0; ///< live events; cancelled keys excluded
 
-#if URSA_CHECK_LEVEL >= 1
-    /// (time, seq) of the last dispatched event, for the level-1
-    /// strict-total-order audit (FIFO tie-break included).
-    SimTime lastAt_ = -1;
-    std::uint64_t lastSeq_ = 0;
-#endif
-#if URSA_CHECK_LEVEL >= 2
-    static constexpr std::uint64_t kAuditStride = 1024;
-    std::uint64_t auditCountdown_ = 0;
-#endif
-
+    /// Min-heap on keyEarlier: heap_[0] is the earliest key, live or
+    /// cancelled; the children of i are 2i + 1 and 2i + 2.
+    std::vector<EventId> heap_;
     /// Callback slab: bodies stay in their slot from schedule to
-    /// dispatch; `freeSlots_` recycles vacated slots LIFO.
-    std::vector<Callback> slots_;
+    /// dispatch or cancel; `freeSlots_` recycles vacated slots LIFO.
+    std::vector<Slot> slots_;
     std::vector<std::uint32_t> freeSlots_;
-
-    /// Current epoch: bucket b spans
-    /// [epochStart_ + b * width, epochStart_ + (b + 1) * width).
-    std::vector<std::vector<Key>> buckets_;
-    int widthShift_ = 8;          ///< bucket width = 1 << widthShift_ us
-    SimTime epochStart_ = 0;
-    SimTime epochEnd_ = 0;        ///< first time beyond the last bucket
-    SimTime frontier_ = 0;        ///< lower edge of first undrained bucket
-    std::size_t cursor_ = 0;      ///< next bucket to drain
-    /// Events at or beyond epochEnd_ wait here until an epoch rebuild.
-    std::vector<Key> overflow_;
-    SimTime minOverflow_ = 0;     ///< valid while overflow_ is non-empty
-    /// Sorted (time, seq) run list of the bucket being drained; events
-    /// below the frontier insert here directly.
-    std::vector<Key> day_;
-    std::size_t dayPos_ = 0;
-    std::size_t count_ = 0;       ///< total pending (day+buckets+overflow)
-    bool resizePending_ = false;  ///< occupancy blew past the bucket grid
-
-    /// Width calibration: sum/count of positive gaps between distinct
-    /// consecutive dispatch times since the last rebuild.
-    SimTime gapSum_ = 0;
-    std::uint64_t gapCount_ = 0;
-    SimTime lastDispatchAt_ = -1;
 };
 
 } // namespace ursa::sim

@@ -155,9 +155,9 @@ TEST(EventQueue, ZeroDelaySameTimestampRunsAfterCurrent)
 }
 
 // The equal-time FIFO guarantee must survive arbitrary queue churn:
-// interleave schedules and partial drains so entries land in the day
-// run list, the buckets and later epochs, and check the full execution
-// order against the (time, insertion) reference order.
+// interleave schedules and partial drains so tied keys enter the heap
+// at different depths and sift past each other, and check the full
+// execution order against the (time, insertion) reference order.
 TEST(EventQueue, FifoTieBreakSurvivesHeapChurn)
 {
     EventQueue q;
@@ -182,7 +182,7 @@ TEST(EventQueue, FifoTieBreakSurvivesHeapChurn)
             q.schedule(at, [&fired, at, id] { fired.emplace_back(at, id); });
         }
         // Drain the round's first slots mid-stream, so later ties
-        // insert into a partly consumed day run list.
+        // join a partly drained time band.
         q.runUntil(100 * (round + 1) + 2);
     }
     q.runUntil(100000);
@@ -242,12 +242,13 @@ TEST(EventQueue, CancelRetractsOnlyPendingEvents)
 
 TEST(EventQueue, CancelRefreshesTheLadderMinimum)
 {
-    // Cancelling the earliest overflow-ladder event refreshes the
-    // ladder's cached minimum (the level-2 structure audit checks it
-    // during the churn below), and the survivor still runs on time.
+    // Cancelling the earliest far-future event leaves its key queued
+    // behind the near traffic: the churn below runs the level-2
+    // structure audit (which counts only live keys) with that stale
+    // key in the heap, and the survivor still runs on time.
     EventQueue q;
     std::vector<int> order;
-    q.schedule(0, [] {}); // anchors the epoch near 0
+    q.schedule(0, [] {}); // near traffic ahead of the far events
     const EventId first = q.schedule(50000000, [&] { order.push_back(1); });
     q.schedule(60000000, [&] { order.push_back(2); });
     EXPECT_TRUE(q.cancel(first));
@@ -258,6 +259,33 @@ TEST(EventQueue, CancelRefreshesTheLadderMinimum)
     q.runUntil(70000000);
     EXPECT_EQ(order, (std::vector<int>{2}));
     EXPECT_EQ(q.cancelled(), 1u);
+}
+
+// Cancel is lazy: A's key stays queued after its slot is freed, and B
+// reuses that slot. The stale key must not run B early, and A's stale
+// id must not cancel B.
+TEST(EventQueue, CancelledSlotReuseKeepsStaleIdsDead)
+{
+    EventQueue q;
+    int ranA = 0;
+    int ranB = 0;
+    const EventId a = q.schedule(100, [&] { ++ranA; });
+    EXPECT_TRUE(q.cancel(a));
+    const EventId b = q.schedule(200, [&] { ++ranB; });
+    ASSERT_EQ(b.slot, a.slot); // B takes A's freed slot
+    EXPECT_FALSE(q.cancel(a));
+
+    q.runUntil(150); // A's stale key leaves the heap, running nothing
+    EXPECT_EQ(ranA + ranB, 0);
+    EXPECT_EQ(q.pending(), 1u);
+    q.runUntil(200);
+    EXPECT_EQ(ranA, 0);
+    EXPECT_EQ(ranB, 1);
+    EXPECT_FALSE(q.cancel(a));
+    EXPECT_FALSE(q.cancel(b));
+    EXPECT_EQ(q.processed(), 1u);
+    EXPECT_EQ(q.cancelled(), 1u);
+    EXPECT_EQ(q.pending(), 0u);
 }
 
 TEST(EventQueue, PopReleasesCallbackState)
@@ -274,7 +302,7 @@ TEST(EventQueue, PopReleasesCallbackState)
     EXPECT_EQ(token.use_count(), 1);
 }
 
-// --- differential against the reference queue, and calendar stress ---
+// --- differential against the reference queue, and heap stress ---
 
 /** One dispatch ('f'), or one cancel that found ('c') or missed ('s'). */
 using ScriptLog = std::vector<std::pair<char, int>>;
@@ -282,9 +310,9 @@ using ScriptLog = std::vector<std::pair<char, int>>;
 /**
  * Drive one queue through a deterministic pseudo-random op script
  * (bursty schedules, short and long bounded runs, callback-side
- * schedules spanning bucket, epoch and overflow horizons, and cancels
- * from both sides) and record the exact dispatch sequence by event id
- * together with every cancel's result.
+ * schedules at near and far horizons, and cancels from both sides)
+ * and record the exact dispatch sequence by event id together with
+ * every cancel's result.
  */
 template <typename Queue>
 ScriptLog
@@ -316,8 +344,8 @@ runScript(int rounds)
 
     for (int round = 0; round < rounds; ++round) {
         // A burst of schedules at wildly mixed horizons: same-time
-        // collisions (FIFO ties), near-future (current bucket), far
-        // future (the calendar's overflow ladder).
+        // collisions (FIFO ties), near future (keys near the root), far
+        // future (keys deep in the heap).
         const int burst = 1 + static_cast<int>(rnd(24));
         for (int k = 0; k < burst; ++k) {
             SimTime at = q.now();
@@ -366,9 +394,10 @@ runScript(int rounds)
             }
         }
         // Cancels from outside any callback: earlier ids at random
-        // (live ones wherever the calendar keeps them, stale ones that
-        // already ran or were cancelled, children not yet scheduled),
-        // the newest event, and now and then the default id.
+        // (live ones, stale ones that already ran or were cancelled,
+        // whose slot may hold a later event by now, and children not
+        // yet scheduled), the newest event, and now and then the
+        // default id.
         for (int c = static_cast<int>(rnd(4)); c > 0; --c)
             cancel(static_cast<int>(rnd(static_cast<unsigned long long>(
                 nextId))));
@@ -376,7 +405,7 @@ runScript(int rounds)
             cancel(nextId - 1);
         if (rnd(16) == 0)
             log.emplace_back(q.cancel(EventId{}) ? 'c' : 's', -1);
-        // Mixed draining: short hops that end inside a bucket, and
+        // Mixed draining: short hops that end between two events, and
         // longer bounded runs.
         switch (rnd(3)) {
         case 0:
@@ -394,33 +423,30 @@ runScript(int rounds)
     return log;
 }
 
-// The determinism contract: the calendar queue dispatches the exact
+// The determinism contract: the heap queue dispatches the exact
 // (time, seq) sequence of the reference queue, and agrees on every
-// cancel, under a randomized workload that exercises day-list inserts,
-// bucket pulls, epoch rebuilds, the overflow ladder and cancels in
-// each of them.
-TEST(EventQueue, RandomizedDifferentialCalendarVsHeap)
+// cancel, under a randomized workload of shallow and deep keys,
+// same-time batches that callbacks extend, stale keys of cancelled
+// events, and slots reused after cancels.
+TEST(EventQueue, RandomizedDifferentialAgainstReference)
 {
-    const ScriptLog calendar = runScript<EventQueue>(400);
+    const ScriptLog queue = runScript<EventQueue>(400);
     const ScriptLog reference = runScript<ReferenceQueue>(400);
-    ASSERT_GT(calendar.size(), 1000u);
-    EXPECT_EQ(calendar, reference);
+    ASSERT_GT(queue.size(), 1000u);
+    EXPECT_EQ(queue, reference);
 }
 
-// FIFO ties must hold when the tied events were scheduled from
-// different calendar locations: some straight into the day list (below
-// the frontier is impossible for the future, so use bucket + overflow
-// splits instead) — schedule the same timestamp before and after epoch
-// rebuilds so the tied batch is assembled from bucket pulls and
-// overflow redistribution rather than one contiguous append.
+// FIFO ties must hold when the tied events were scheduled far apart:
+// schedule the same timestamp before, between and after filler traffic
+// that is dispatched in between, so the tied keys enter the heap at
+// different depths and only their seq orders the batch.
 TEST(EventQueue, FifoTieBreakAcrossBucketBoundaries)
 {
     EventQueue q;
     std::vector<int> fired;
-    const SimTime tied = 5000000; // far beyond the initial epoch
+    const SimTime tied = 5000000; // far beyond the filler
     q.schedule(tied, [&] { fired.push_back(0); });
-    // Force queue activity (and epoch rebuilds) between the tied
-    // schedules.
+    // Filler traffic between the tied schedules.
     for (int i = 0; i < 64; ++i)
         q.schedule(i * 1000, [] {});
     q.schedule(tied, [&] { fired.push_back(1); });
@@ -432,9 +458,8 @@ TEST(EventQueue, FifoTieBreakAcrossBucketBoundaries)
     EXPECT_EQ(fired, (std::vector<int>{4, 0, 1, 2, 3}));
 }
 
-// Burst arrivals blow the pending population past the bucket grid; the
-// calendar must re-bucket (resizePending_ path) without reordering or
-// dropping anything.
+// The large-population order test: a 200k-event burst grows the heap
+// to 18 levels, and every event must still run once, in time order.
 TEST(EventQueue, BucketResizeUnderBurst)
 {
     EventQueue q;
@@ -446,8 +471,8 @@ TEST(EventQueue, BucketResizeUnderBurst)
         x = x * 6364136223846793005ULL + 1442695040888963407ULL;
         return (x >> 33) % mod;
     };
-    // Warm the width calibration with sparse traffic first so the
-    // burst really overflows the calibrated grid.
+    // Sparse traffic first, so the burst lands on a queue whose heap
+    // and slot slab have already grown and drained.
     for (int i = 1; i <= 32; ++i)
         q.schedule(i * 4096, [&] { sum += 0; });
     q.runUntil(32 * 4096);

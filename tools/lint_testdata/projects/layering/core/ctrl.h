@@ -1,4 +1,4 @@
-// Clean: core (level 5) may depend on sim (level 3) — the DAG only
+// Clean: core (level 6) may depend on sim (level 3) — the DAG only
 // forbids upward includes.
 #include "sim/kernel.h"
 
